@@ -14,6 +14,12 @@ took over a second, which is why the recorded history in
 saturate the power budget that suits the small ones, so each size pins
 its own budget.
 
+The graph-build points time :func:`repro.ir.serialize.from_dict` (build
+plus validation) on the same generator's graphs at 250, 500 and 1000
+operations -- the cost every task resolve pays -- and hold the largest to
+50 ms.  Before the cycle check in ``CDFG.add_edge`` became a search from
+the new edge's consumer, the 1000-op build took over a second.
+
 Record a run into the benchmark history with::
 
     python benchmarks/record.py --label after
@@ -23,9 +29,13 @@ Record a run into the benchmark history with::
 
 from __future__ import annotations
 
+import statistics
+import time
+
 import pytest
 
 from repro.ir.analysis import critical_path_length
+from repro.ir.serialize import from_dict, to_dict
 from repro.library.selection import MinPowerSelection, selection_delays
 from repro.suite.generators import GeneratorConfig, random_cdfg
 from repro.synthesis.engine import synthesize
@@ -33,6 +43,11 @@ from repro.synthesis.engine import synthesize
 #: Per-size power budget: the random 120-op layered graphs need more
 #: headroom than 30 power units to stay feasible at cp + 8 cycles.
 POWER_BUDGETS = {10: 30.0, 20: 30.0, 40: 30.0, 80: 30.0, 120: 40.0}
+
+#: Graph sizes of the build benchmark, and the median build time the
+#: largest must stay within.
+BUILD_SIZES = (250, 500, 1000)
+BUILD_BUDGET_S = 0.050
 
 
 def make_case(operations: int, library):
@@ -63,3 +78,22 @@ def test_synthesis_scalability(benchmark, library, operations):
     )
     result.verify()
     assert result.latency <= latency
+
+
+@pytest.mark.parametrize("operations", BUILD_SIZES)
+def test_graph_build(benchmark, library, operations):
+    cdfg, _ = make_case(operations, library)
+    data = to_dict(cdfg)
+    # Timed here too, so the budget holds under --benchmark-disable.
+    seconds = []
+
+    def build():
+        started = time.perf_counter()
+        built = from_dict(data)
+        seconds.append(time.perf_counter() - started)
+        return built
+
+    built = benchmark.pedantic(build, rounds=5, iterations=1)
+    assert to_dict(built) == data
+    if operations == max(BUILD_SIZES):
+        assert statistics.median(seconds) <= BUILD_BUDGET_S

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
@@ -28,7 +29,7 @@ from ..ir.serialize import to_dict as cdfg_to_dict
 from ..library.library import FULibrary
 from ..library.module import FUModule
 from ..registries import LIBRARIES
-from ..suite.registry import build_benchmark
+from ..suite.registry import BenchmarkSpec, build_benchmark, get_benchmark
 
 
 class TaskError(ValueError):
@@ -140,6 +141,31 @@ def _canonical_graph(data: Dict[str, Any]) -> Dict[str, Any]:
         "name": data.get("name", ""),
         "operations": sorted(operations, key=lambda op: op["name"]),
         "edges": edges,
+    }
+
+
+#: Canonical graph dict of each registered benchmark, keyed by its frozen
+#: registry entry: building a benchmark only to serialize it dominated the
+#: cost of a named task's content address.  Re-registering a name with
+#: ``replace=True`` stores a new entry, which misses this memo, and the
+#: replaced entry's graph goes with it.  Two threads missing at once build
+#: the same graph twice, which is harmless.
+_BENCHMARK_GRAPHS: "weakref.WeakKeyDictionary[BenchmarkSpec, Dict[str, Any]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _benchmark_graph(name: str) -> Dict[str, Any]:
+    """A fresh copy of the canonical graph of registered benchmark ``name``."""
+    entry = get_benchmark(name)
+    graph = _BENCHMARK_GRAPHS.get(entry)
+    if graph is None:
+        graph = _canonical_graph(cdfg_to_dict(entry.build()))
+        _BENCHMARK_GRAPHS[entry] = graph
+    return {
+        "name": graph["name"],
+        "operations": [{**op, "attrs": dict(op["attrs"])} for op in graph["operations"]],
+        "edges": [dict(edge) for edge in graph["edges"]],
     }
 
 
@@ -418,9 +444,14 @@ class SynthesisTask:
         table resolve to the same canonical library, and operation / edge /
         module ordering is normalized.  The free-form ``label`` is
         deliberately excluded — it does not affect the result.
+
+        A registered benchmark's canonical graph is built once per process
+        and memoized per registry entry, so re-registering the name with
+        ``replace=True`` re-addresses its tasks.  Every call returns a
+        fresh copy that the caller may mutate.
         """
         if isinstance(self.graph, str):
-            graph = _canonical_graph(cdfg_to_dict(build_benchmark(self.graph)))
+            graph = _benchmark_graph(self.graph)
         else:
             graph = _canonical_graph(self.graph)
         if isinstance(self.library, str):

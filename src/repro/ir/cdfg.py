@@ -14,8 +14,13 @@ Design notes
 * Edges may carry an optional ``port`` attribute identifying which input
   of the consumer the value feeds (0 = left, 1 = right), used by the
   interconnect estimator.
-* The graph must remain a DAG; :meth:`CDFG.validate` (see
-  :mod:`repro.ir.validate`) enforces this and other structural rules.
+* The graph must remain a DAG.  :meth:`CDFG.add_edge` rejects an edge
+  that would close a cycle with a search from its consumer over
+  successors; the search is skipped when the consumer has no successors
+  yet, which is always the case when a graph is built producers-first
+  (the builders and the benchmark suite), so a bulk build costs time
+  linear in its size.  :func:`repro.ir.validate.validate_cdfg` re-checks
+  acyclicity together with the other structural rules.
 
 Caching and invalidation contract
 ---------------------------------
@@ -130,6 +135,13 @@ class CDFG:
     def add_edge(self, src: str, dst: str, port: Optional[int] = None) -> None:
         """Add a data dependence ``src -> dst``.
 
+        The cycle check searches forward from ``dst`` and rejects the
+        edge if ``src`` is reachable, so its cost is the size of ``dst``'s
+        descendant cone.  A ``dst`` with no successors (every edge added
+        in producers-first order) costs nothing, and a repeated edge only
+        bumps its multiplicity.  A rejected edge leaves the graph
+        untouched.
+
         Args:
             src: Producer operation name (must exist).
             dst: Consumer operation name (must exist).
@@ -154,13 +166,28 @@ class CDFG:
                 self._graph[src][dst].setdefault("ports", []).append(port)
             self._invalidate()
             return
+        if self._reaches(dst, src):
+            raise CDFGError(f"edge {src!r} -> {dst!r} would create a cycle")
         self._graph.add_edge(src, dst, multiplicity=1)
         if port is not None:
             self._graph[src][dst]["ports"] = [port]
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(src, dst)
-            raise CDFGError(f"edge {src!r} -> {dst!r} would create a cycle")
         self._invalidate()
+
+    def _reaches(self, start: str, target: str) -> bool:
+        """True if ``target`` is reachable from ``start`` along edges."""
+        succ = self._graph.succ
+        if not succ[start]:
+            return False
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nxt in succ[stack.pop()]:
+                if nxt == target:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
 
     def remove_operation(self, name: str) -> None:
         """Remove an operation and all incident edges."""

@@ -5,7 +5,8 @@ rules; violating them would make the scheduling results meaningless (or
 crash deep inside an algorithm with an obscure error).  The rules are:
 
 1. The graph is a DAG (enforced incrementally by :class:`CDFG.add_edge`,
-   re-checked here).
+   re-checked here with one Kahn pass, which also catches cycles
+   injected through :attr:`CDFG.graph`).
 2. Input operations have no predecessors; output operations have no
    successors and exactly one predecessor.
 3. Binary arithmetic operations (``+ - * > <``) have at most two
@@ -20,8 +21,6 @@ crash deep inside an algorithm with an obscure error).  The rules are:
 from __future__ import annotations
 
 from typing import List
-
-import networkx as nx
 
 from .cdfg import CDFG, CDFGError
 from .operation import OpType
@@ -39,16 +38,24 @@ class ValidationError(CDFGError):
 
 
 def collect_problems(cdfg: CDFG) -> List[str]:
-    """Return a list of human-readable structural problems (empty if valid)."""
-    problems: List[str] = []
+    """Return a list of human-readable structural problems (empty if valid).
 
-    if not nx.is_directed_acyclic_graph(cdfg.graph):
+    Runs in time linear in the graph: one Kahn pass for acyclicity, one
+    sweep over the operations for the per-operation rules and one
+    traversal from all sources at once for reachability.
+    """
+    problems: List[str] = []
+    graph = cdfg.graph
+    pred, succ = graph.pred, graph.succ
+    names = cdfg.operation_names()
+
+    if not _is_acyclic(names, pred, succ):
         problems.append("graph contains a cycle")
 
-    for name in cdfg.operation_names():
+    for name in names:
         op = cdfg.operation(name)
-        in_degree = sum(cdfg.edge_multiplicity(p, name) for p in cdfg.predecessors(name))
-        out_degree = cdfg.graph.out_degree(name)
+        in_degree = sum(int(data.get("multiplicity", 1)) for data in pred[name].values())
+        out_degree = len(succ[name])
 
         if op.optype is OpType.INPUT and in_degree > 0:
             problems.append(f"input operation {name!r} has predecessors")
@@ -72,21 +79,38 @@ def collect_problems(cdfg: CDFG) -> List[str]:
 
     # Dangling arithmetic results are suspicious (dead code); allowed but
     # reachability from a source is required.
-    sources = {
+    sources = [
         n
-        for n in cdfg.operation_names()
-        if cdfg.operation(n).optype in (OpType.INPUT, OpType.CONST)
-        or cdfg.graph.in_degree(n) == 0
-    }
+        for n in names
+        if cdfg.operation(n).optype in (OpType.INPUT, OpType.CONST) or not pred[n]
+    ]
     if sources:
         reachable = set(sources)
-        for src in sources:
-            reachable |= nx.descendants(cdfg.graph, src)
-        unreachable = [n for n in cdfg.operation_names() if n not in reachable]
+        stack = list(sources)
+        while stack:
+            for nxt in succ[stack.pop()]:
+                if nxt not in reachable:
+                    reachable.add(nxt)
+                    stack.append(nxt)
+        unreachable = [n for n in names if n not in reachable]
         if unreachable:
             problems.append(f"operations unreachable from any source: {sorted(unreachable)}")
 
     return problems
+
+
+def _is_acyclic(names: List[str], pred, succ) -> bool:
+    """Kahn's algorithm: every node drains to in-degree zero iff no cycle."""
+    in_degree = {name: len(pred[name]) for name in names}
+    ready = [name for name, degree in in_degree.items() if degree == 0]
+    drained = 0
+    while ready:
+        drained += 1
+        for nxt in succ[ready.pop()]:
+            in_degree[nxt] -= 1
+            if in_degree[nxt] == 0:
+                ready.append(nxt)
+    return drained == len(names)
 
 
 def validate_cdfg(cdfg: CDFG) -> CDFG:

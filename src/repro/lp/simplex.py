@@ -150,7 +150,6 @@ class _Tableau:
         # Nonbasic rest position: True = at upper bound.
         self.at_upper: List[bool] = [False] * self.structural
         self.rows: List[Dict[int, Rat]] = []
-        self.rhs: List[Rat] = []
         self.basis: List[int] = []
         self.artificials: List[int] = []
         #: variable -> row it is basic in, or -1.
@@ -181,10 +180,7 @@ class _Tableau:
                 # Flip the whole row so the starting basic value (the
                 # residual) is non-negative.
                 row = {index: (-n, d) for index, (n, d) in row.items()}
-                rhs = _from_fraction(-constraint.rhs)
                 residual = (-residual[0], residual[1])
-            else:
-                rhs = _from_fraction(constraint.rhs)
             if slack is not None and row[slack] == _R_ONE:
                 basic = slack
             else:
@@ -192,7 +188,6 @@ class _Tableau:
                 row[basic] = _R_ONE
                 self.artificials.append(basic)
             self.rows.append(row)
-            self.rhs.append(rhs)
             self.basis.append(basic)
             self.basic_row[basic] = len(self.rows) - 1
             self.xB.append(residual)
@@ -380,10 +375,7 @@ class _Tableau:
             self.rows[limiting] = pivot_row = {
                 index: _reduce(n * pd, d * pn) for index, (n, d) in pivot_row.items()
             }
-            rn, rd = self.rhs[limiting]
-            self.rhs[limiting] = _reduce(rn * pd, rd * pn)
         pivot_items = list(pivot_row.items())
-        pivot_rhs = self.rhs[limiting]
         for i, row in enumerate(self.rows):
             if i == limiting:
                 continue
@@ -398,9 +390,6 @@ class _Tableau:
                     row[index] = _reduce(num, cd * fd * pd)
                 else:
                     row.pop(index, None)
-            rn, rd = self.rhs[i]
-            qn, qd = pivot_rhs
-            self.rhs[i] = _reduce(rn * fd * qd - fn * qn * rd, rd * fd * qd)
         factor = objective.get(entering)
         if factor is not None and factor[0]:
             fn, fd = factor
