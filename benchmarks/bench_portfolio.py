@@ -1,19 +1,11 @@
-"""Portfolio racing — time-to-first-certified, cold vs. prior-warmed.
+"""Portfolio racing — cold time-to-first-certified.
 
-The portfolio meta-strategy's pitch (ISSUE 10) is that racing a strategy
-subset gets the *first certified* answer sooner than committing to one
-strategy up front, and that priors mined from the result store shrink
-that time further by launching the historically-best pair first.  This
-module builds one real mined corpus — every contender pair run standalone
-over a small (benchmark, T, P) grid, filed into a result cache — then
-measures, on a pessimally-ordered portfolio task:
-
-* ``test_mine_priors`` — mining launch priors from the corpus store,
-* ``test_race_cold`` — the race with empty priors (canonical launches),
-* ``test_race_prior_warmed`` — the same race launched in mined order,
-* ``test_priors_change_launch_order`` — asserts the ISSUE-10 contract:
-  on a real mined corpus the priors permute the launch order, while the
-  returned record (winner, area, verdict) is unchanged.
+The portfolio meta-strategy's pitch is that racing a strategy subset
+gets the *first certified* answer without committing to one strategy up
+front.  ``test_race_cold`` races every fast contender pair on one paper
+corner with no cache, so every contender launches in canonical order,
+and records the race-clock seconds until the first certified completion
+arrived (``extra_info["first_certified_s"]``).
 
 Record the numbers into the repository's benchmark history with::
 
@@ -25,135 +17,34 @@ Record the numbers into the repository's benchmark history with::
 
 from __future__ import annotations
 
-import dataclasses
-import shutil
-import tempfile
-
 import pytest
 
-from repro import ResultCache, mine_priors, run_task
 from repro.portfolio import portfolio_task, run_portfolio
-from repro.portfolio.runner import PortfolioRunner
-from repro.store.priors import Priors
 
 #: The contender pool: every fast pair (the exact engines would dominate
-#: the race clock without changing the launch-order story).
+#: the race clock without telling anything about racing).
 PAIRS = ["engine", "pasap", "palap", "force_directed"]
 
-#: The mined corpus: each pair standalone at each constraint point.
-GRID = [
-    ("hal", 17, 12.0),
-    ("hal", 20, 15.0),
-    ("cosine", 19, 22.0),
-]
-
-#: The race under measurement (same family/bucket as two grid points).
+#: The race under measurement.
 TARGET = ("hal", 17, 12.0)
 
 
-class Corpus:
-    """Every contender run standalone over the grid, filed into one cache."""
-
-    def __init__(self) -> None:
-        self.root = tempfile.mkdtemp(prefix="repro-bench-portfolio-")
-        self.cache = ResultCache(self.root)
-        for graph, latency, power in GRID:
-            probe = portfolio_task(
-                graph, latency=latency, power_budget=power, strategies=PAIRS
-            )
-            for slot in PortfolioRunner(probe, priors=Priors()).slots:
-                run_task(slot.contender.task, keep_result=False, cache=self.cache)
-        self.priors = mine_priors(self.cache.store)
-
-    def cleanup(self) -> None:
-        shutil.rmtree(self.root, ignore_errors=True)
-
-
 @pytest.fixture(scope="module")
-def corpus():
-    built = Corpus()
-    yield built
-    built.cleanup()
-
-
-@pytest.fixture(scope="module")
-def race_task(corpus):
-    """A portfolio task whose canonical order is pessimal for its bucket.
-
-    The canonical strategy order is the mined ranking *reversed* — the
-    naive caller who happens to list the historically-worst pair first.
-    Priors exist to fix exactly this launch order, and the canonical
-    decision rule guarantees the fix cannot change the answer.
-    """
+def race_task():
     graph, latency, power = TARGET
-    probe = portfolio_task(graph, latency=latency, power_budget=power, strategies=PAIRS)
-    labels = [s.contender.label for s in PortfolioRunner(probe, priors=Priors()).slots]
-    ranked = corpus.priors.rank(
-        labels, family=graph, latency=latency, power_budget=power
-    )
-    return portfolio_task(
-        graph,
-        latency=latency,
-        power_budget=power,
-        strategies=list(reversed(ranked)),
-    )
-
-
-def test_mine_priors(benchmark, corpus):
-    """Mining launch priors: one scalar-column scan over the corpus."""
-
-    def mine():
-        priors = mine_priors(corpus.cache.store)
-        assert not priors.is_empty
-        return priors
-
-    benchmark.pedantic(mine, rounds=5, iterations=1)
+    return portfolio_task(graph, latency=latency, power_budget=power, strategies=PAIRS)
 
 
 def test_race_cold(benchmark, race_task):
-    """The race with empty priors: contenders launch in canonical order."""
+    """The cacheless race: contenders launch in canonical order."""
     certified = []
 
     def race():
-        outcome = run_portfolio(race_task, priors=Priors())
+        outcome = run_portfolio(race_task)
         assert outcome.record.feasible is True
-        assert outcome.priors_ranked is False
+        assert outcome.first_certified_s is not None
         certified.append(outcome.first_certified_s)
         return outcome.first_certified_s
 
     benchmark.pedantic(race, rounds=3, iterations=1)
     benchmark.extra_info["first_certified_s"] = sum(certified) / len(certified)
-
-
-def test_race_prior_warmed(benchmark, corpus, race_task):
-    """The same race launched in mined-prior order."""
-    certified = []
-
-    def race():
-        outcome = run_portfolio(race_task, priors=corpus.priors)
-        assert outcome.record.feasible is True
-        certified.append(outcome.first_certified_s)
-        return outcome.first_certified_s
-
-    benchmark.pedantic(race, rounds=3, iterations=1)
-    benchmark.extra_info["first_certified_s"] = sum(certified) / len(certified)
-
-
-def test_priors_change_launch_order(corpus, race_task):
-    """The ISSUE-10 contract: real mined priors permute launches only."""
-    cold = run_portfolio(race_task, priors=Priors())
-    warm = run_portfolio(race_task, priors=corpus.priors)
-
-    # the mined priors actually reordered the pessimal canonical order
-    assert warm.priors_ranked is True
-    assert warm.launch_order != cold.launch_order
-    assert sorted(warm.launch_order) == sorted(cold.launch_order)
-
-    # ... and changed nothing about the answer
-    assert warm.winner == cold.winner
-    assert warm.record.feasible == cold.record.feasible
-    assert warm.record.area == cold.record.area
-
-    # the mined winner is historically the likeliest: it launches first
-    # in the warmed race even though canonical order lists it last
-    assert warm.launch_order[0] == cold.launch_order[-1]

@@ -38,8 +38,7 @@ The package provides:
 * :mod:`repro.portfolio` — the ``portfolio`` racing meta-strategy: fan
   one task across a configurable strategy subset, return the
   canonically-first certified result (or the best-area one under a
-  deadline), cancel the losers, and learn launch-order priors from the
-  result store (see :mod:`repro.store.priors`).
+  deadline) and cancel the losers.
 
 Quickstart::
 
@@ -107,14 +106,11 @@ from .store import (
     Claim,
     ColumnarStore,
     LegacyStore,
-    Priors,
     ResultStore,
     StoreQuery,
     StoredRow,
     break_stale_claims,
-    constraint_bucket,
     migrate_store,
-    mine_priors,
     open_store,
     try_acquire,
 )
@@ -150,7 +146,7 @@ from .lp import (
     solve_milp,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "CDFG",
@@ -210,9 +206,6 @@ __all__ = [
     "Claim",
     "try_acquire",
     "break_stale_claims",
-    "Priors",
-    "mine_priors",
-    "constraint_bucket",
     "PortfolioConfig",
     "PortfolioOutcome",
     "PortfolioRunner",

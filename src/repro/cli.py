@@ -18,9 +18,6 @@ flows without writing any Python:
 * ``store`` — inspect and maintain a result-store directory: ``stats``,
   ``compact``, ``migrate`` (legacy ↔ columnar, verified bit-identical)
   and ``query`` (columnar range scans; see :mod:`repro.store`),
-* ``priors`` — show the portfolio launch priors a result store mines
-  (per-family, per-constraint-bucket win/latency statistics; see
-  :mod:`repro.store.priors`),
 * ``serve`` — run the long-lived HTTP synthesis service (persistent job
   queue + worker pool + shared result cache; see :mod:`repro.serve`),
 * ``submit`` — send a batch file to a running server and (optionally)
@@ -207,7 +204,7 @@ def _synthesize_portfolio(
     with the winning concrete strategy), so the result-object options of
     the plain synthesize path do not apply here.  With ``--cache-dir``
     the race files its results for later runs; adding ``--resume`` also
-    pre-answers warm contenders and launches in mined-prior order.
+    pre-answers warm contenders from the cache.
     """
     from .portfolio import run_portfolio
 
@@ -234,8 +231,6 @@ def _synthesize_portfolio(
         f"area={record.area:g}  peak={record.peak_power:g}  "
         f"latency={record.latency}  ({outcome.elapsed:.2f}s)"
     )
-    print(f"launch order: {', '.join(outcome.launch_order)}"
-          + ("  (prior-ranked)" if outcome.priors_ranked else ""))
     rows = [
         [
             entry["label"],
@@ -569,51 +564,6 @@ def _cmd_store_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_priors_show(args: argparse.Namespace) -> int:
-    from .store import mine_priors, open_store
-
-    store = open_store(args.dir)
-    priors = mine_priors(store, family=args.family)
-    if args.json:
-        print(json.dumps(priors.to_dict(), indent=2, sort_keys=True))
-        return 0
-    if priors.is_empty:
-        print(f"no prior evidence in {args.dir} (store is empty or all-portfolio)")
-        return 0
-    rows = []
-    for scope_label, stats in sorted(priors.to_dict().items()):
-        family, _, bucket = scope_label.partition("|")
-        ranked = sorted(
-            stats.items(),
-            key=lambda item: (-item[1]["win_rate"], item[1]["mean_elapsed"], item[0]),
-        )
-        for rank, (pair, prior) in enumerate(ranked, start=1):
-            rows.append(
-                [
-                    family or "<global>",
-                    bucket,
-                    rank,
-                    pair,
-                    prior["races"],
-                    prior["wins"],
-                    f"{prior['win_rate']:.2f}",
-                    f"{prior['mean_elapsed']:.3f}",
-                ]
-            )
-    print(
-        render_table(
-            ["family", "bucket", "#", "pair", "races", "wins", "win rate", "mean sec"],
-            rows,
-            title=f"Portfolio launch priors mined from {args.dir} [{store.backend}]",
-        )
-    )
-    print(
-        "\npriors rank launch order only; the race's canonical decision "
-        "rule never changes with them"
-    )
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.http import SynthesisServer
     from .serve.service import SynthesisService
@@ -630,13 +580,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache=cache,
         cache_backend=None if backend == "auto" else backend,
         workers=args.workers,
-        worker_mode=args.worker_mode,
         max_queue_depth=args.max_queue_depth,
     ).start()
     server = SynthesisServer((args.host, args.port), service, verbose=args.verbose)
     print(f"repro serve: listening on {server.url}")
     print(
-        f"  workers={args.workers} ({args.worker_mode})  "
+        f"  workers={args.workers}  "
         f"state_dir={args.state_dir or '<memory>'}  "
         f"cache={service.cache.root}"
     )
@@ -924,13 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", "-j", type=int, default=2, help="synthesis workers"
     )
     serve.add_argument(
-        "--worker-mode",
-        choices=["process", "thread"],
-        default="process",
-        help="run synthesis in child processes (scales past the GIL; "
-        "default) or in threads (single-process debugging)",
-    )
-    serve.add_argument(
         "--max-queue-depth",
         type=int,
         default=None,
@@ -1029,20 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_query.add_argument("--json", action="store_true", help="machine-readable output")
     store_query.set_defaults(handler=_cmd_store_query)
-
-    priors = sub.add_parser(
-        "priors",
-        help="portfolio launch priors mined from a result store "
-        "(per-family, per-constraint-bucket win/latency statistics)",
-    )
-    priors_sub = priors.add_subparsers(dest="priors_command", required=True)
-    priors_show = priors_sub.add_parser(
-        "show", help="rank every strategy pair the store has evidence for"
-    )
-    priors_show.add_argument("dir", help="cache / store directory")
-    priors_show.add_argument("--family", help="narrow the scan to one scenario family")
-    priors_show.add_argument("--json", action="store_true", help="machine-readable output")
-    priors_show.set_defaults(handler=_cmd_priors_show)
 
     submit = sub.add_parser(
         "submit",

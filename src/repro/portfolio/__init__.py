@@ -1,4 +1,4 @@
-"""repro.portfolio — race strategy subsets, learn launch order from the store.
+"""repro.portfolio — race strategy subsets, return the canonical winner.
 
 No single strategy dominates power-constrained synthesis: the combined
 engine is usually fast and good, the ILP is complete but slow, the
@@ -9,20 +9,16 @@ heuristics win on particular graph shapes.  A *portfolio* task
 * **Race mode** (default) returns the canonically-first certified-
   feasible contender — canonical order being the configured strategies
   tuple, which is hashed into the task's content address.  Completion
-  order, parallelism and launch order affect only time-to-answer, never
-  the answer (see :mod:`repro.portfolio.runner`).
+  order and parallelism affect only time-to-answer, never the answer
+  (see :mod:`repro.portfolio.runner`).
 * **Deadline mode** (``portfolio_deadline_s``) collects certified
   results until the deadline and returns the best-area one.
-
-Launch order is ranked by :mod:`repro.store.priors` — per-(family,
-constraint-bucket) win/latency statistics mined from the very records
-every run already files — so the historically-best contender starts
-first and time-to-first-certified drops on warm corpora.
 
 The pieces:
 
 * :mod:`~repro.portfolio.config` — :class:`PortfolioConfig`, the
-  reserved option keys, :func:`portfolio_task` / :func:`with_deadline`.
+  reserved option keys, :func:`portfolio_task` / :func:`with_deadline`
+  and :func:`~repro.portfolio.config.pair_label`.
 * :mod:`~repro.portfolio.executors` — the injectable execution seam:
   real process workers, inline fallback, and the scripted executor +
   manual clock that make every race ordering deterministic in tests.

@@ -15,9 +15,7 @@ Both keys are part of the task's content address (the race config
 changes what the spec *means*); every other option key is an ordinary
 engine override inherited by each contender.  The *order* of the
 ``portfolio_strategies`` list is semantic: it is the canonical decision
-order of the race (see :mod:`repro.portfolio.runner`), which is exactly
-why priors — which only permute the *launch* order — can never change
-the returned record.
+order of the race (see :mod:`repro.portfolio.runner`).
 """
 
 from __future__ import annotations
@@ -32,19 +30,37 @@ from ..api.task import (
     TaskError,
     split_portfolio_options,
 )
-from ..store.priors import SELF_BINDING, pair_label
 
 __all__ = [
     "DEFAULT_STRATEGIES",
     "PortfolioConfig",
+    "SELF_BINDING_SCHEDULERS",
+    "pair_label",
     "portfolio_task",
     "with_deadline",
 ]
+
+#: Schedulers that bind while they schedule: the task's binder field is
+#: inert for them, and their pair label is the bare scheduler name.
+SELF_BINDING_SCHEDULERS = ("engine",)
 
 #: Default contender subset: the paper's combined engine, both
 #: power-constrained heuristics, the classical force-directed scheduler
 #: and the exact ILP — a spread of fast/likely and slow/complete.
 DEFAULT_STRATEGIES = ("engine", "pasap", "palap", "force_directed", "ilp")
+
+
+def pair_label(scheduler: str, binder: str) -> str:
+    """Canonical label of one (scheduler, binder) pair.
+
+    Self-binding schedulers (``engine``) label as the bare scheduler name;
+    every two-phase pair labels as ``"<scheduler>+<binder>"``.  This is
+    the currency shared by the portfolio config, the content address of
+    a portfolio task and the ``winner`` field on portfolio records.
+    """
+    if scheduler in SELF_BINDING_SCHEDULERS:
+        return scheduler
+    return f"{scheduler}+{binder}"
 
 
 def _parse_entries(value: Any) -> Tuple[str, ...]:
@@ -143,11 +159,11 @@ class PortfolioConfig:
                 )
             if scheduler == PORTFOLIO_SCHEDULER:
                 raise TaskError("a portfolio cannot race itself as a contender")
-            if scheduler in SELF_BINDING and len(parts) == 2:
+            if scheduler in SELF_BINDING_SCHEDULERS and len(parts) == 2:
                 raise TaskError(
                     f"scheduler {scheduler!r} binds itself; drop the '+{binder}' suffix"
                 )
-            if scheduler in SELF_BINDING:
+            if scheduler in SELF_BINDING_SCHEDULERS:
                 binder = default_binder
             label = pair_label(scheduler, binder)
             if label in seen:

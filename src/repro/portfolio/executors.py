@@ -64,7 +64,7 @@ class Contender:
 class RaceExecutor(ABC):
     """The injectable execution seam of a portfolio race.
 
-    The runner launches contenders (possibly slot-limited), then polls
+    The runner launches every contender at once, then polls
     for completions until its decision rule resolves; losers get
     cancelled.  ``poll`` returns the next ``(index, outcome)`` pair, or
     ``None`` when the timeout elapsed (deadline bookkeeping) or the

@@ -1,4 +1,4 @@
-"""The portfolio race runner: canonical decisions, prior-ranked launches.
+"""The portfolio race runner: canonical decisions over a contender race.
 
 One race takes a ``scheduler="portfolio"`` task, fans its contender
 subset out over a :class:`~repro.portfolio.executors.RaceExecutor`, gates
@@ -13,17 +13,20 @@ order is the configured ``portfolio_strategies`` tuple — the order hashed
 into the task's content address.  The race resolves as soon as contender
 ``i`` is certified feasible and every contender before it has a terminal
 outcome; contenders after the earliest certified one are cancelled (their
-result can no longer matter).  Parallelism, completion order, crashes of
-later contenders and prior-ranked launch order therefore change only how
-*fast* the answer arrives, never which answer it is — the property that
-keeps a content-addressed cache coherent and makes priors safe to mine
-from anything.
+result can no longer matter).  Every contender launches at once, in
+canonical order.  Parallelism, completion order and crashes of later
+contenders therefore change only how *fast* the answer arrives, never
+which answer it is — the property that keeps a content-addressed cache
+coherent.
 
 ``deadline_s`` switches the rule: collect certified results until the
 deadline (or until everyone is terminal) and return the best-area one,
-ties broken by canonical index.  A deadline that expires with nothing
-certified yields an infeasible ``PortfolioDeadlineError`` record, which
-is never cached — it reflects the deadline, not the spec.
+ties broken by canonical index.  A completion that arrives after the
+deadline on the race clock is never a winner, even when an executor
+that cannot interrupt its contenders delivers it.  A deadline that
+expires with nothing certified yields an infeasible
+``PortfolioDeadlineError`` record, which is never cached — it reflects
+the deadline, not the spec.
 
 Outcome classification of an all-infeasible race: if every contender
 returned a genuine verdict, the portfolio verdict is infeasible with the
@@ -38,13 +41,11 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from ..api.batch import TaskResult
 from ..api.task import SynthesisTask, TaskError
-from ..store.base import family_of
-from ..store.priors import Priors, mine_priors, pair_label
-from .config import PortfolioConfig
+from .config import PortfolioConfig, pair_label
 from .executors import Contender, RaceExecutor, default_executor
 
 __all__ = [
@@ -136,15 +137,10 @@ class PortfolioOutcome:
         winner: The winning pair label, ``None`` for infeasible races.
         cacheable: Whether the record is a true verdict on the spec —
             deadline expiries and crash-tainted infeasibles are not.
-        launch_order: Pair labels in the order they were (or would be)
-            launched, after prior ranking.
-        priors_ranked: True when priors actually permuted the canonical
-            launch order.
         deadline_expired: True when a ``deadline_s`` ran out before a
             certified result arrived.
         first_certified_s: Race-clock seconds until the first certified
-            completion *arrived* (the metric priors improve), ``None``
-            when nothing certified.
+            completion *arrived*, ``None`` when nothing certified.
         elapsed: Race-clock seconds until the decision.
         contenders: Per-contender summaries, in canonical order.
     """
@@ -152,8 +148,6 @@ class PortfolioOutcome:
     record: TaskResult
     winner: Optional[str] = None
     cacheable: bool = False
-    launch_order: List[str] = field(default_factory=list)
-    priors_ranked: bool = False
     deadline_expired: bool = False
     first_certified_s: Optional[float] = None
     elapsed: float = 0.0
@@ -165,8 +159,6 @@ class PortfolioOutcome:
             "record": self.record.to_dict(),
             "winner": self.winner,
             "cacheable": self.cacheable,
-            "launch_order": list(self.launch_order),
-            "priors_ranked": self.priors_ranked,
             "deadline_expired": self.deadline_expired,
             "first_certified_s": self.first_certified_s,
             "elapsed": self.elapsed,
@@ -191,16 +183,12 @@ class PortfolioRunner:
         cache=None,
         executor: Optional[RaceExecutor] = None,
         clock: Optional[Callable[[], float]] = None,
-        priors: Optional[Priors] = None,
-        max_parallel: Optional[int] = None,
     ) -> None:
         self.task = task
         self.cache = cache
         self.config = PortfolioConfig.from_task(task)
         self.clock = clock if clock is not None else time.monotonic
         self.executor = executor if executor is not None else default_executor(cache)
-        self.max_parallel = max_parallel
-        self._priors = priors
         pairs = self.config.resolved_pairs(task.binder)
         _, engine_overrides = PortfolioConfig.from_task_options(task.options)
         self.slots: List[ContenderResult] = []
@@ -224,48 +212,18 @@ class PortfolioRunner:
             )
 
     # ------------------------------------------------------------------ #
-    # Priors
-    # ------------------------------------------------------------------ #
-    def priors(self) -> Priors:
-        """The priors ranking this race's launch order (mined lazily)."""
-        if self._priors is None:
-            if self.cache is not None and getattr(self.cache, "read", False):
-                self._priors = mine_priors(
-                    self.cache.store, family=family_of(self.task.to_dict())
-                )
-            else:
-                self._priors = Priors()
-        return self._priors
-
-    def launch_order(self) -> List[ContenderResult]:
-        """Slots in prior-ranked launch order (canonical order when no priors)."""
-        labels = [slot.contender.label for slot in self.slots]
-        ranked = self.priors().rank(
-            labels,
-            family=family_of(self.task.to_dict()),
-            latency=self.task.latency,
-            power_budget=self.task.power_budget,
-            register_budget=self.task.register_budget,
-        )
-        by_label = {slot.contender.label: slot for slot in self.slots}
-        return [by_label[label] for label in ranked]
-
-    # ------------------------------------------------------------------ #
     # The race
     # ------------------------------------------------------------------ #
     def run(self) -> PortfolioOutcome:
         """Race the contenders and return the portfolio outcome."""
         started = self.clock()
         first_certified: Optional[float] = None
-        ordered = self.launch_order()
-        launch_labels = [slot.contender.label for slot in ordered]
-        priors_ranked = launch_labels != [s.contender.label for s in self.slots]
 
         # The cache pre-answers whatever it can: a warm concrete-strategy
         # record is a completion that never needs a launch, which is what
         # makes portfolio wins strategy-exact on re-lookup.
         if self.cache is not None and getattr(self.cache, "read", False):
-            for slot in ordered:
+            for slot in self.slots:
                 hit = self.cache.get(slot.contender.task)
                 if hit is not None:
                     slot.outcome = hit.to_dict()
@@ -274,20 +232,7 @@ class PortfolioRunner:
                         first_certified = 0.0
 
         deadline = self.config.deadline_s
-        pending = [slot for slot in ordered if slot.outcome is None]
-        limit = self.max_parallel if self.max_parallel else len(pending)
-        limit = max(1, int(limit))
-        in_flight = 0
         deadline_expired = False
-
-        def launch_some() -> None:
-            nonlocal in_flight
-            while pending and in_flight < limit and not self._decided():
-                slot = pending.pop(0)
-                if slot.cancelled:
-                    continue
-                self.executor.launch(slot.contender)
-                in_flight += 1
 
         def cancel_losers() -> None:
             """In race mode, contenders after the earliest certified one lose."""
@@ -308,19 +253,16 @@ class PortfolioRunner:
 
         try:
             cancel_losers()
-            launch_some()
-            while True:
-                if self._decided():
-                    break
-                if in_flight == 0 and not pending:
-                    break
+            if not self._decided():
+                for slot in self.slots:
+                    if not slot.terminal and not slot.cancelled:
+                        self.executor.launch(slot.contender)
+            while not self._decided():
                 timeout: Optional[float] = None
                 if deadline is not None:
                     timeout = deadline - (self.clock() - started)
                     if timeout <= 0:
-                        deadline_expired = any(
-                            not s.terminal and not s.cancelled for s in self.slots
-                        )
+                        deadline_expired = True
                         break
                 before_poll = self.clock()
                 completion = self.executor.poll(timeout)
@@ -332,12 +274,15 @@ class PortfolioRunner:
                 slot = self.slots[index]
                 if slot.cancelled:  # a straggler answer from a loser
                     continue
+                if deadline is not None and self.clock() - started > deadline:
+                    # delivered late by an executor that cannot interrupt
+                    # its contenders: not a winner, and the race is over
+                    deadline_expired = True
+                    break
                 slot.outcome = outcome
-                in_flight = max(0, in_flight - 1)
                 if slot.status == "feasible" and first_certified is None:
                     first_certified = self.clock() - started
                 cancel_losers()
-                launch_some()
             # whoever is still running past the decision/deadline loses
             for slot in self.slots:
                 if not slot.terminal and not slot.cancelled:
@@ -350,8 +295,6 @@ class PortfolioRunner:
         return self._conclude(
             elapsed=elapsed,
             first_certified=first_certified,
-            launch_labels=launch_labels,
-            priors_ranked=priors_ranked,
             deadline_expired=deadline_expired,
         )
 
@@ -391,8 +334,6 @@ class PortfolioRunner:
         *,
         elapsed: float,
         first_certified: Optional[float],
-        launch_labels: Sequence[str],
-        priors_ranked: bool,
         deadline_expired: bool,
     ) -> PortfolioOutcome:
         winner = self._winner_slot()
@@ -423,8 +364,6 @@ class PortfolioRunner:
                 record=record,
                 winner=winner.contender.label,
                 cacheable=True,
-                launch_order=list(launch_labels),
-                priors_ranked=priors_ranked,
                 deadline_expired=False,
                 first_certified_s=first_certified,
                 elapsed=elapsed,
@@ -475,8 +414,6 @@ class PortfolioRunner:
             record=record,
             winner=None,
             cacheable=cacheable,
-            launch_order=list(launch_labels),
-            priors_ranked=priors_ranked,
             deadline_expired=deadline_expired,
             first_certified_s=first_certified,
             elapsed=elapsed,
@@ -507,8 +444,6 @@ def run_portfolio(
     cache=None,
     executor: Optional[RaceExecutor] = None,
     clock: Optional[Callable[[], float]] = None,
-    priors: Optional[Priors] = None,
-    max_parallel: Optional[int] = None,
 ) -> PortfolioOutcome:
     """Race one portfolio task; the functional face of :class:`PortfolioRunner`.
 
@@ -516,17 +451,12 @@ def run_portfolio(
         task: A ``scheduler="portfolio"`` task.
         cache: A :class:`~repro.explore.cache.ResultCache`.  Pre-answers
             contenders it already holds, receives the winner's record
-            under its concrete-strategy address, and supplies the store
-            priors mine from.
+            under its concrete-strategy address.
         executor: The race seam; defaults to
             :func:`~repro.portfolio.executors.default_executor` (process
             workers when possible, inline otherwise).
         clock: Monotonic-seconds callable; defaults to
             :func:`time.monotonic`.
-        priors: Pre-mined launch priors; mined from the cache's store
-            when omitted.
-        max_parallel: Launch-slot limit; every contender at once when
-            omitted.
 
     Raises:
         TaskError: When the task is not a portfolio task or its config
@@ -541,7 +471,5 @@ def run_portfolio(
         cache=cache,
         executor=executor,
         clock=clock,
-        priors=priors,
-        max_parallel=max_parallel,
     )
     return runner.run()

@@ -579,7 +579,7 @@ def start_server(
     ``port=0`` binds an ephemeral port — read the resolved address from
     ``handle.url``.  Builds (and starts) a default
     :class:`SynthesisService` unless one is passed in; extra keyword
-    arguments (``worker_mode``, ``max_queue_depth``, ``cache_dir``, …)
+    arguments (``max_queue_depth``, ``cache``, ``verify``, …)
     are forwarded to its constructor.
     """
     if service is None:

@@ -7,17 +7,14 @@ workers executes them through the exact same
 :func:`~repro.api.batch.run_task` path the CLI and the batch API use,
 against one shared :class:`~repro.explore.cache.ResultCache`.
 
-Since the process-tier re-architecture the default ``worker_mode`` is
-``"process"``: each worker slot is a parent-side dispatch thread paired
-with a long-lived child process (:class:`~repro.serve.workers
-.ProcessWorker`) that does the CPU-bound synthesis — N workers really
-use N cores instead of serializing on the GIL.  The parent keeps all
+Each worker slot is a parent-side dispatch thread paired with a
+long-lived child process (:class:`~repro.serve.workers.ProcessWorker`)
+that does the CPU-bound synthesis — N workers really use N cores
+instead of serializing on the GIL.  The parent keeps all
 authority: the queue, the in-process per-key claims, the counters.  A
 child that dies mid-job (SIGKILL, OOM) is detected on its pipe, the job
 is requeued (up to ``max_requeues``, then failed as a ``WorkerCrash``
-record) and the slot respawned.  ``worker_mode="thread"`` keeps the
-old in-process execution — useful for tests that monkeypatch the
-synthesis path, and on single-core machines where processes buy nothing.
+record) and the slot respawned.
 
 Three properties fall out of building on the existing stack:
 
@@ -61,16 +58,12 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from ..api.batch import BatchSummary, TaskResult, run_task
+from ..api.batch import BatchSummary, TaskResult
 from ..api.task import SynthesisTask
 from ..explore.cache import ResultCache
 from ..store import claims
 from .queue import Job, JobQueue, QueueError, QueueFullError
 from .workers import ProcessWorker, WorkerCrash
-
-#: Recognized worker execution modes.
-WORKER_MODES = ("process", "thread")
-
 
 class ServiceError(RuntimeError):
     """A service-level usage error (submitting to a stopped service, …)."""
@@ -102,11 +95,8 @@ class SynthesisService:
         cache_backend: Storage backend for a cache the service opens
             itself (``"legacy"`` / ``"columnar"``; existing directories
             autodetect).  Ignored when ``cache`` is given.
-        workers: Worker slots executing jobs concurrently.
-        worker_mode: ``"process"`` (default) pairs each slot with a
-            child process doing the CPU-bound synthesis — the GIL-free
-            tier; ``"thread"`` executes in-process on the slot's own
-            thread (tests, monkeypatching, single-core boxes).
+        workers: Worker slots executing jobs concurrently, each paired
+            with a child process doing the CPU-bound synthesis.
         max_queue_depth: Bound on the pending backlog; beyond it,
             submissions raise :class:`~repro.serve.queue.QueueFullError`
             — the HTTP front's ``429 Retry-After`` signal.  ``None`` is
@@ -130,17 +120,12 @@ class SynthesisService:
         cache: Optional[ResultCache] = None,
         cache_backend: Optional[str] = None,
         workers: int = 2,
-        worker_mode: str = "process",
         max_queue_depth: Optional[int] = None,
         max_requeues: int = 2,
         verify: bool = True,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"a service needs at least one worker, got {workers}")
-        if worker_mode not in WORKER_MODES:
-            raise ServiceError(
-                f"unknown worker_mode {worker_mode!r}; choose from {WORKER_MODES}"
-            )
         self.queue = JobQueue(state_dir, max_depth=max_queue_depth)
         self._owns_temp_cache = False
         if cache is None:
@@ -157,7 +142,6 @@ class SynthesisService:
                 self._owns_temp_cache = True
         self.cache = cache
         self.workers = int(workers)
-        self.worker_mode = worker_mode
         self.max_requeues = int(max_requeues)
         self.verify = verify
         self.started_at: Optional[float] = None
@@ -180,12 +164,11 @@ class SynthesisService:
             return self
         self.started_at = time.time()
         self._stop.clear()
-        if self.worker_mode == "process":
-            # boot hygiene: claims left by a machine-wide crash (their
-            # pids possibly reused by now) must not gate their keys
-            self._stale_claims_broken = claims.break_stale_claims(self.cache.root)
-            for slot in range(self.workers):
-                self._children[slot] = self._spawn_child(slot)
+        # boot hygiene: claims left by a machine-wide crash (their pids
+        # possibly reused by now) must not gate their keys
+        self._stale_claims_broken = claims.break_stale_claims(self.cache.root)
+        for slot in range(self.workers):
+            self._children[slot] = self._spawn_child(slot)
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -337,29 +320,7 @@ class SynthesisService:
                 if self.queue.closed and self.queue.depth == 0:
                     return
                 continue
-            if self.worker_mode == "process":
-                self._execute_in_child(slot, job)
-            else:
-                self._execute_in_thread(job)
-
-    def _execute_in_thread(self, job: Job) -> None:
-        # Single-flight: content-identical jobs execute strictly in the
-        # order they were taken — the first computes, every follower
-        # unblocks here and exits run_task through the cache-hit path.
-        self.queue.wait_for_key_turn(job)
-        try:
-            record = run_task(
-                job.task,
-                keep_result=False,
-                cache=self.cache,
-                verify=self.verify,
-            )
-        except Exception as exc:  # CertificateError and genuine bugs alike
-            self._note_failure(job, str(exc), type(exc).__name__)
-            self.queue.finish(job, error=str(exc), error_type=type(exc).__name__)
-            return
-        self._note_record(job, record)
-        self.queue.finish(job, record=record.to_dict())
+            self._execute_in_child(slot, job)
 
     def _execute_in_child(self, slot: int, job: Job) -> None:
         """Run one job on the slot's child process, surviving its death.
@@ -503,7 +464,6 @@ class SynthesisService:
         return {
             "uptime": time.time() - self.started_at if self.started_at else 0.0,
             "workers": self.workers,
-            "worker_mode": self.worker_mode,
             "worker_crashes": self._worker_crashes,
             "stale_claims_broken": self._stale_claims_broken,
             "queue": {
@@ -531,15 +491,14 @@ class SynthesisService:
         return {
             "status": "ok" if self.running else "stopped",
             "workers": self.workers,
-            "worker_mode": self.worker_mode,
             "queue_depth": self.queue.depth,
             "uptime": time.time() - self.started_at if self.started_at else 0.0,
         }
 
     def worker_pids(self) -> List[int]:
-        """Pids of the live synthesis child processes (process mode).
+        """Pids of the live synthesis child processes.
 
-        What the crash tests aim their SIGKILL at; empty in thread mode.
+        What the crash tests aim their SIGKILL at.
         """
         return [
             child.pid

@@ -13,11 +13,6 @@ One interface, two backends:
   record, torn tails repaired), merged by :meth:`compact` into sorted,
   indexed column files that answer range queries with partial reads.
 
-:mod:`~repro.store.priors` turns the same indexed columns into training
-data: :func:`~repro.store.priors.mine_priors` scans win/latency
-statistics per (family, constraint-bucket) so portfolio races launch
-their historically-best strategy first.
-
 :mod:`~repro.store.claims` adds the cross-process single-flight
 protocol on top of either backend: per-content-address claim files
 (atomic link-into-place, dead-pid/lease staleness, serialized breaking)
@@ -70,7 +65,6 @@ from .journal import (
 )
 from .legacy import LegacyStore
 from .migrate import migrate_store, verify_migration
-from .priors import PairPrior, Priors, constraint_bucket, mine_priors, pair_label
 
 #: Registered backend constructors by name.
 BACKENDS = {
@@ -134,8 +128,6 @@ __all__ = [
     "ColumnarStore",
     "JOURNAL_NAME",
     "LegacyStore",
-    "PairPrior",
-    "Priors",
     "ResultStore",
     "StoreError",
     "StoreQuery",
@@ -143,13 +135,10 @@ __all__ = [
     "append_journal_line",
     "break_stale_claims",
     "claim_path",
-    "constraint_bucket",
     "detect_backend",
     "holder",
     "try_acquire",
     "family_of",
-    "mine_priors",
-    "pair_label",
     "iter_journal",
     "iter_journal_payloads",
     "journal_path",

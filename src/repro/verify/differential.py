@@ -70,12 +70,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..api.batch import run_batch
 from ..api.task import SynthesisTask
+from ..portfolio.config import SELF_BINDING_SCHEDULERS, pair_label
 from ..registries import BINDERS, SCHEDULERS
 from .certificate import CertificateReport, Violation, check_certificate
-
-#: Schedulers that bind while scheduling; the binder field is inert for
-#: them, so only one pair per scheduler is generated.
-SELF_BINDING_SCHEDULERS = ("engine",)
 
 #: Meta-strategies that race *other* schedulers rather than scheduling
 #: themselves.  Excluded from the default all-registered pair expansion
@@ -629,13 +626,6 @@ def _check_oracle_agreement(report: CrossCheckReport) -> List[StrategyOutcome]:
     return implicated
 
 
-def _outcome_label(outcome: StrategyOutcome) -> str:
-    """The canonical pair label a portfolio would use for this outcome."""
-    if outcome.scheduler in SELF_BINDING_SCHEDULERS:
-        return outcome.scheduler
-    return outcome.pair
-
-
 def _check_portfolio_agreement(report: CrossCheckReport) -> List[StrategyOutcome]:
     """A portfolio verdict must agree with the strategies it raced.
 
@@ -659,7 +649,7 @@ def _check_portfolio_agreement(report: CrossCheckReport) -> List[StrategyOutcome
     for outcome in report.outcomes:
         if outcome.scheduler in META_SCHEDULERS:
             continue
-        by_label.setdefault(_outcome_label(outcome), outcome)
+        by_label.setdefault(pair_label(outcome.scheduler, outcome.binder), outcome)
     implicated: List[StrategyOutcome] = []
     for portfolio in portfolios:
         if portfolio.feasible:

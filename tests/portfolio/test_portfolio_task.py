@@ -15,7 +15,7 @@ from repro import ResultCache, SynthesisTask, run_task
 from repro.api.batch import TaskResult
 from repro.api.task import TaskError
 from repro.portfolio import PortfolioConfig, portfolio_task
-from repro.portfolio.config import DEFAULT_STRATEGIES, with_deadline
+from repro.portfolio.config import DEFAULT_STRATEGIES, pair_label, with_deadline
 from repro.suite import hal_cdfg
 
 
@@ -54,6 +54,14 @@ class TestConfigParsing:
     def test_round_trips_through_to_options(self):
         config = PortfolioConfig(strategies=("engine", "pasap"), deadline_s=2.0)
         assert PortfolioConfig.from_options(config.to_options()) == config
+
+
+class TestPairLabel:
+    def test_two_phase_pairs_join_with_plus(self):
+        assert pair_label("pasap", "greedy") == "pasap+greedy"
+
+    def test_self_binding_engine_is_bare(self):
+        assert pair_label("engine", "greedy") == "engine"
 
 
 class TestPairResolution:

@@ -3,9 +3,9 @@
 For any task spec, the portfolio record must be **bit-identical** to the
 standalone record of some single contender (its named winner), always
 certificate-gated, and an infeasible portfolio verdict must agree with
-every contender's own standalone verdict.  Priors may permute launch
-order — never the returned record.  These are the invariants that make
-the meta-strategy safe to cache and to cross-check differentially.
+every contender's own standalone verdict.  These are the invariants
+that make the meta-strategy safe to cache and to cross-check
+differentially.
 """
 
 import dataclasses
@@ -16,7 +16,6 @@ import pytest
 from repro.api.batch import run_task
 from repro.portfolio import portfolio_task, run_portfolio
 from repro.portfolio.runner import EXECUTION_ERROR
-from repro.store.priors import Priors, constraint_bucket
 
 #: Fast contender pool (the exact engines would slow the property loop).
 POOL = ["engine", "pasap", "palap", "force_directed"]
@@ -47,15 +46,15 @@ def standalone(task, runner):
 @pytest.mark.parametrize("seed", range(6))
 def test_portfolio_equals_some_single_strategy(seed):
     task = sample_task(seed)
-    outcome = run_portfolio(task, priors=Priors())
+    outcome = run_portfolio(task)
     record = outcome.record
-    runner_view = run_portfolio(task, priors=Priors())  # determinism probe
+    runner_view = run_portfolio(task)  # determinism probe
     assert runner_view.winner == outcome.winner
     assert runner_view.record.feasible == record.feasible
 
     from repro.portfolio.runner import PortfolioRunner
 
-    records = standalone(task, PortfolioRunner(task, priors=Priors()))
+    records = standalone(task, PortfolioRunner(task))
 
     if record.feasible:
         assert record.winner in records
@@ -75,55 +74,3 @@ def test_portfolio_equals_some_single_strategy(seed):
             assert record.error_type == records[first].error_type
         else:
             assert record.error_type == EXECUTION_ERROR
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_priors_permute_launches_never_the_record(seed):
-    task = sample_task(seed)
-    from repro.portfolio.runner import PortfolioRunner
-
-    labels = [s.contender.label for s in PortfolioRunner(task, priors=Priors()).slots]
-    favored = labels[-1]
-    biased = Priors()
-    biased.observe(
-        "hal",
-        constraint_bucket(task.latency, task.power_budget, task.register_budget),
-        favored,
-        feasible=True,
-        elapsed=0.01,
-    )
-
-    neutral = run_portfolio(task, priors=Priors())
-    permuted = run_portfolio(task, priors=biased)
-
-    assert neutral.launch_order == labels
-    assert permuted.launch_order[0] == favored
-    assert permuted.priors_ranked is True
-
-    # same winner, same verdict, same scalars — only the launch order moved
-    assert permuted.winner == neutral.winner
-    assert permuted.record.feasible == neutral.record.feasible
-    assert permuted.record.error_type == neutral.record.error_type
-    for name in COPIED:
-        assert getattr(permuted.record, name) == getattr(neutral.record, name), name
-
-
-def test_priors_never_drop_or_add_contenders():
-    task = sample_task(99)
-    from repro.portfolio.runner import PortfolioRunner
-
-    runner = PortfolioRunner(task, priors=Priors())
-    labels = [s.contender.label for s in runner.slots]
-    rng = random.Random(99)
-    for trial in range(10):
-        priors = Priors()
-        for label in rng.sample(labels, k=rng.randint(0, len(labels))):
-            priors.observe(
-                "hal",
-                constraint_bucket(task.latency, task.power_budget, None),
-                label,
-                feasible=rng.random() < 0.5,
-                elapsed=rng.random(),
-            )
-        ranked = PortfolioRunner(task, priors=priors).launch_order()
-        assert sorted(s.contender.label for s in ranked) == sorted(labels)

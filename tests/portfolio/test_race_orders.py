@@ -2,9 +2,10 @@
 
 Every scenario a real race can hit — canonical-first wins, a later
 contender certifying before an earlier one, ties, loser cancellation,
-deadline expiry mid-flight, all-infeasible verdicts, crashed contenders —
-replayed from a :class:`~repro.portfolio.executors.ScriptedExecutor`
-script against a :class:`~repro.portfolio.executors.ManualClock`.  No
+deadline expiry mid-flight, late deliveries past the deadline,
+all-infeasible verdicts, crashed contenders — replayed from a
+:class:`~repro.portfolio.executors.ScriptedExecutor` script against a
+:class:`~repro.portfolio.executors.ManualClock`.  No
 test here sleeps, spawns a process, or runs a synthesis: the decision
 rule is exercised in isolation, which is what makes the orderings
 exhaustive rather than racy.
@@ -12,10 +13,10 @@ exhaustive rather than racy.
 
 import pytest
 
+from repro import ResultCache, TaskResult
 from repro.portfolio import PortfolioRunner, portfolio_task, run_portfolio
 from repro.portfolio.executors import ManualClock, ScriptedExecutor
 from repro.portfolio.runner import DEADLINE_ERROR, EXECUTION_ERROR
-from repro.store.priors import Priors
 from repro.api.task import SynthesisTask, TaskError
 
 STRATEGIES = ["engine", "pasap", "palap"]
@@ -54,16 +55,34 @@ def infeasible(error_type="SynthesisError"):
     }
 
 
-def race(script, *, task=None, priors=None, max_parallel=None):
+def race(script, *, task=None, cache=None):
     executor = ScriptedExecutor(script)
     runner = PortfolioRunner(
         task if task is not None else make_task(),
+        cache=cache,
         executor=executor,
         clock=executor.clock,
-        priors=priors if priors is not None else Priors(),
-        max_parallel=max_parallel,
     )
     return runner.run(), executor
+
+
+class LateExecutor(ScriptedExecutor):
+    """Delivers each completion only after running ``lag`` seconds.
+
+    Models the inline executor: it cannot interrupt a contender, so a
+    poll returns when the synthesis ends, however long after the
+    race's deadline that is.
+    """
+
+    def __init__(self, script, lag):
+        super().__init__(script)
+        self.lag = lag
+
+    def poll(self, timeout=None):
+        completion = super().poll(None)
+        if completion is not None:
+            self.clock.advance(self.lag)
+        return completion
 
 
 class TestCanonicalDecision:
@@ -239,43 +258,58 @@ class TestDeadlineMode:
         assert outcome.first_certified_s == pytest.approx(3.0)
 
 
-class TestLaunchOrder:
-    def priors_preferring(self, label):
-        priors = Priors()
-        priors.observe("hal", "T16|P8|R-", label, feasible=True, elapsed=0.05)
-        return priors
+    def test_completion_delivered_after_the_deadline_is_not_a_winner(self):
+        # an executor that cannot interrupt delivers engine's certified
+        # result 42s into a 1s race: the race expires, it does not win
+        executor = LateExecutor([("complete", "engine", feasible(500))], lag=42.0)
+        outcome = PortfolioRunner(
+            make_task(deadline_s=1.0), executor=executor, clock=executor.clock
+        ).run()
+        assert executor.delivered == ["engine"]
+        assert outcome.winner is None
+        assert outcome.record.feasible is False
+        assert outcome.deadline_expired is True
+        assert outcome.record.error_type == DEADLINE_ERROR
+        assert outcome.cacheable is False
+        assert outcome.first_certified_s is None
 
-    def test_priors_permute_launches_but_not_the_winner(self):
-        outcome, executor = race(
-            [
-                ("complete", "palap+greedy", feasible(600)),
-                ("complete", "engine", feasible(500)),
-                ("complete", "pasap+greedy", infeasible()),
-            ],
-            priors=self.priors_preferring("palap+greedy"),
-        )
-        assert executor.launched[0] == "palap+greedy"
-        assert outcome.launch_order[0] == "palap+greedy"
-        assert outcome.priors_ranked is True
-        assert outcome.winner == "engine"  # canonical rule, not launch order
-
-    def test_empty_priors_launch_canonically(self):
-        outcome, executor = race([("complete", "engine", feasible(500))])
-        assert outcome.launch_order == LABELS
-        assert outcome.priors_ranked is False
-        assert executor.launched == LABELS
-
-    def test_max_parallel_staggers_launches_behind_completions(self):
+    def test_a_win_before_the_deadline_survives_a_late_straggler(self):
+        # pasap certifies in time; engine's late answer must not displace it
         script = [
-            ("complete", "engine", infeasible()),
-            ("complete", "pasap+greedy", infeasible()),
-            ("complete", "palap+greedy", feasible(700)),
+            ("complete", "pasap+greedy", feasible(450)),
+            ("complete", "engine", feasible(100)),
         ]
-        outcome, executor = race(script, max_parallel=1)
-        # one slot: each launch waits for the previous completion
+        executor = LateExecutor(script, lag=0.6)
+        outcome = PortfolioRunner(
+            make_task(deadline_s=1.0), executor=executor, clock=executor.clock
+        ).run()
+        assert executor.delivered == ["pasap+greedy", "engine"]
+        assert outcome.winner == "pasap+greedy"
+        assert outcome.record.area == 450.0
+
+
+class TestLaunchOrder:
+    def test_launches_every_contender_in_canonical_order(self):
+        outcome, executor = race([("complete", "engine", feasible(500))])
         assert executor.launched == LABELS
-        assert executor.delivered == LABELS
-        assert outcome.winner == "palap+greedy"
+        assert [c["label"] for c in outcome.contenders] == LABELS
+
+    def test_race_never_scans_the_store(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        for power in (8.0, 9.0, 10.0):  # history: other specs, same family
+            for strategy in STRATEGIES:
+                past = SynthesisTask(
+                    graph="hal", latency=17, power_budget=power, scheduler=strategy
+                )
+                cache.put(past, TaskResult(task=past, feasible=True, area=500.0))
+
+        def scan(*_args, **_kwargs):
+            raise AssertionError("a portfolio race scanned the result store")
+
+        cache.store.scan = scan
+        outcome, executor = race([("complete", "engine", feasible(500))], cache=cache)
+        assert executor.launched == LABELS
+        assert outcome.winner == "engine"
 
 
 class TestSeamGuards:
@@ -288,9 +322,7 @@ class TestSeamGuards:
 
     def test_scripted_executor_rejects_unknown_events(self):
         executor = ScriptedExecutor([("explode", "engine")])
-        runner = PortfolioRunner(
-            make_task(), executor=executor, clock=executor.clock, priors=Priors()
-        )
+        runner = PortfolioRunner(make_task(), executor=executor, clock=executor.clock)
         with pytest.raises(ValueError):
             runner.run()
 

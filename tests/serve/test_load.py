@@ -120,7 +120,6 @@ def test_two_services_share_one_cache_without_duplicate_synthesis(two_services):
     assert sum(s["cache"]["hits"] + s["cache"]["misses"] for s in stats) == total_jobs
     assert sum(s["cache"]["writes"] for s in stats) == len(POWERS)
     for s in stats:
-        assert s["worker_mode"] == "process"
         assert s["queue"]["jobs"].get("failed", 0) == 0
 
 

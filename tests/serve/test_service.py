@@ -48,12 +48,12 @@ class TestExecution:
         def rejecting_run_task(*_args, **_kwargs):
             raise CertificateError(report)
 
-        import repro.serve.service as service_module
+        import repro.serve.workers as workers_module
 
-        monkeypatch.setattr(service_module, "run_task", rejecting_run_task)
-        # thread mode: the monkeypatched run_task must be visible to the
-        # executing worker, which a child process would not see
-        with SynthesisService(tmp_path, workers=1, worker_mode="thread") as service:
+        # patched before the service starts: worker children are forked
+        # (workers._context), so they inherit the rejecting run_task
+        monkeypatch.setattr(workers_module, "run_task", rejecting_run_task)
+        with SynthesisService(tmp_path, workers=1) as service:
             (job,) = service.submit_many([task()])
             service.wait([job], timeout=10)
         assert job.state == FAILED
