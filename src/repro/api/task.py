@@ -20,7 +20,7 @@ import hashlib
 import json
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..ir.cdfg import CDFG
 from ..ir.operation import OpType
@@ -166,6 +166,30 @@ def _benchmark_graph(name: str) -> Dict[str, Any]:
         "name": graph["name"],
         "operations": [{**op, "attrs": dict(op["attrs"])} for op in graph["operations"]],
         "edges": [dict(edge) for edge in graph["edges"]],
+    }
+
+
+#: Canonical dict of each registered library with the factory it was built
+#: from: the entry is reused only while that factory is still the one
+#: registered under the name, so ``LIBRARIES.register(..., replace=True)``
+#: re-addresses the name's tasks.  Building a library only to serialize it
+#: was a quarter of a named task's content-address cost.
+_LIBRARY_DICTS: Dict[str, Tuple[Callable[[], FULibrary], Dict[str, Any]]] = {}
+
+
+def _registered_library(name: str) -> Dict[str, Any]:
+    """A fresh copy of the canonical dict of registered library ``name``."""
+    factory = LIBRARIES.get(name)
+    memo = _LIBRARY_DICTS.get(name)
+    if memo is None or memo[0] is not factory:
+        memo = (factory, _canonical_library(library_to_dict(factory())))
+        _LIBRARY_DICTS[name] = memo
+    library = memo[1]
+    return {
+        "name": library["name"],
+        "modules": [
+            {**module, "ops": list(module["ops"])} for module in library["modules"]
+        ],
     }
 
 
@@ -445,8 +469,9 @@ class SynthesisTask:
         module ordering is normalized.  The free-form ``label`` is
         deliberately excluded — it does not affect the result.
 
-        A registered benchmark's canonical graph is built once per process
-        and memoized per registry entry, so re-registering the name with
+        A registered benchmark's canonical graph and a registered
+        library's canonical module table are built once per process and
+        memoized per registry entry, so re-registering the name with
         ``replace=True`` re-addresses its tasks.  Every call returns a
         fresh copy that the caller may mutate.
         """
@@ -455,7 +480,7 @@ class SynthesisTask:
         else:
             graph = _canonical_graph(self.graph)
         if isinstance(self.library, str):
-            library = _canonical_library(library_to_dict(LIBRARIES.get(self.library)()))
+            library = _registered_library(self.library)
         else:
             library = _canonical_library(self.library)
         portfolio = None

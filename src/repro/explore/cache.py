@@ -160,20 +160,34 @@ class ResultCache:
         """
         if not self.read:
             return None
+        record = self.peek(task)
+        if record is None:
+            self.stats.misses += 1
+        else:
+            self.stats.hits += 1
+        return record
+
+    def peek(self, task: SynthesisTask) -> Optional[TaskResult]:
+        """:meth:`get` without touching :attr:`stats`.
+
+        For callers that count a job's one lookup themselves once its
+        outcome is known — the serving layer looks a task up at
+        admission and again at dequeue, then folds the job's single
+        hit or miss into these counters when it finishes.
+        """
+        if not self.read:
+            return None
         key = self.key_for(task)
         payload = self._memory.get(key)
         if payload is None:
             payload = self.store.get(key)
             if payload is None:
-                self.stats.misses += 1
                 return None
             self._memory[key] = payload
         try:
             record = TaskResult.from_dict(dict(payload["record"]))
         except (TypeError, ValueError, KeyError):
-            self.stats.misses += 1
             return None
-        self.stats.hits += 1
         record.cached = True
         record.result = None
         record.task = task

@@ -6,7 +6,9 @@ with a stable id, and every state transition (submit → start → finish,
 or a requeue) is appended to ``jobs.jsonl`` in the queue's state
 directory with the same single-``O_APPEND``-write discipline as the
 result cache journal — concurrent writers never interleave mid-line and
-a torn tail from a killed process is skipped on replay.
+a torn tail from a killed process is skipped on replay.  A job the
+service answers at admission (a cache hit) skips ``start``: its
+``submit`` and ``finish`` lines are appended together in one write.
 
 Reopening a state directory replays the event log: finished jobs come
 back with their records, pending jobs re-enter the queue in submission
@@ -47,7 +49,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..api.task import SynthesisTask, TaskError
 
@@ -191,15 +193,19 @@ class JobQueue:
     def log_path(self) -> Optional[Path]:
         return self.state_dir / LOG_NAME if self.state_dir is not None else None
 
-    def _append(self, event: Dict[str, Any]) -> None:
+    def _append(self, *events: Dict[str, Any]) -> None:
         if self.state_dir is None:
             return
-        line = json.dumps(event, sort_keys=True, separators=(",", ":"))
+        text = "".join(
+            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+            for event in events
+        )
         # one unbuffered write to an O_APPEND fd, exactly like the result
-        # cache journal: concurrent workers never interleave mid-line
+        # cache journal: concurrent workers never interleave mid-line, and
+        # events appended together land together or as a torn tail
         fd = os.open(self.log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            os.write(fd, (line + "\n").encode("utf-8"))
+            os.write(fd, text.encode("utf-8"))
         finally:
             os.close(fd)
 
@@ -243,6 +249,9 @@ class JobQueue:
                         elif kind == "finish":
                             job.state = event.get("state", DONE)
                             job.finished_at = event.get("ts")
+                            if job.started_at is None:
+                                # answered at admission: no start event
+                                job.started_at = job.submitted_at
                             job.record = event.get("record")
                             job.error = event.get("error")
                             job.error_type = event.get("error_type")
@@ -276,7 +285,11 @@ class JobQueue:
         return self.submit_many([task], priority=priority)[0]
 
     def submit_many(
-        self, tasks: Iterable[SynthesisTask], *, priority: int = 0
+        self,
+        tasks: Iterable[SynthesisTask],
+        *,
+        priority: int = 0,
+        records: Optional[Sequence[Optional[Dict[str, Any]]]] = None,
     ) -> List[Job]:
         """Accept a batch atomically: all admitted, or ``QueueFullError``.
 
@@ -284,14 +297,30 @@ class JobQueue:
         a client is never left with half its batch admitted and the
         other half bounced, which would make the 429 retry re-submit
         (and re-account) the admitted half.
+
+        ``records``, aligned with ``tasks``, answers tasks at admission:
+        a non-``None`` entry is that task's finished record (the
+        service's cache hit).  Such a job is admitted already ``done``
+        with ``started_at == finished_at == submitted_at``; it never
+        takes a pending slot, so only unanswered tasks count against
+        ``max_depth``.  Its ``submit`` and ``finish`` events go to the
+        log in one write (no ``start`` event): a crash leaves both lines
+        or a torn tail, which replay treats as a pending job.
         """
         tasks = list(tasks)
+        if records is None:
+            records = [None] * len(tasks)
+        elif len(records) != len(tasks):
+            raise QueueError(
+                f"{len(records)} admission records for {len(tasks)} tasks"
+            )
+        waiting = sum(1 for record in records if record is None)
         with self._not_empty:
             if self._closed:
                 raise QueueError("queue is closed to new submissions")
             if (
                 self.max_depth is not None
-                and len(self._pending) + len(tasks) > self.max_depth
+                and len(self._pending) + waiting > self.max_depth
             ):
                 raise QueueFullError(
                     f"queue is full ({len(self._pending)} pending, "
@@ -299,7 +328,7 @@ class JobQueue:
                     retry_after=self._retry_after_hint(),
                 )
             jobs = []
-            for task in tasks:
+            for task, record in zip(tasks, records):
                 self._seq += 1
                 job = Job(
                     id=f"job-{self._seq:06d}-{uuid.uuid4().hex[:8]}",
@@ -309,20 +338,25 @@ class JobQueue:
                     priority=int(priority),
                     seq=self._seq,
                 )
+                submitted = {
+                    "event": "submit",
+                    "id": job.id,
+                    "ts": job.submitted_at,
+                    "task": task.to_dict(),
+                    "key": job.key,
+                    "priority": job.priority,
+                }
+                if record is None:
+                    bisect.insort(self._pending, (-job.priority, job.seq, job.id))
+                    self._append(submitted)
+                else:
+                    job.started_at = job.finished_at = job.submitted_at
+                    job.record = record
+                    job.state = DONE
+                    self._append(submitted, self._finish_event(job))
                 self._jobs[job.id] = job
-                bisect.insort(self._pending, (-job.priority, job.seq, job.id))
-                self._append(
-                    {
-                        "event": "submit",
-                        "id": job.id,
-                        "ts": job.submitted_at,
-                        "task": task.to_dict(),
-                        "key": job.key,
-                        "priority": job.priority,
-                    }
-                )
                 jobs.append(job)
-            self._not_empty.notify(len(jobs))
+            self._not_empty.notify(waiting)
         return jobs
 
     def _retry_after_hint(self) -> float:
@@ -397,18 +431,20 @@ class JobQueue:
             job.error_type = error_type
             job.state = FAILED if error is not None else DONE
             self._release_key(job)
-            self._append(
-                {
-                    "event": "finish",
-                    "id": job.id,
-                    "ts": job.finished_at,
-                    "state": job.state,
-                    "record": record,
-                    "error": error,
-                    "error_type": error_type,
-                }
-            )
+            self._append(self._finish_event(job))
             self._finished.notify_all()
+
+    @staticmethod
+    def _finish_event(job: Job) -> Dict[str, Any]:
+        return {
+            "event": "finish",
+            "id": job.id,
+            "ts": job.finished_at,
+            "state": job.state,
+            "record": job.record,
+            "error": job.error,
+            "error_type": job.error_type,
+        }
 
     def _release_key(self, job: Job) -> None:
         """Drop a job's key claim (caller holds the lock)."""
@@ -424,10 +460,10 @@ class JobQueue:
         Key claims are registered in :meth:`take` order under the queue
         lock, so this is the deterministic single-flight primitive: of N
         content-identical jobs, the first taken computes while every
-        later one waits here, then exits ``run_task`` through the
-        cache-hit path.  Returns False on timeout (the caller may
-        proceed anyway; the result cache keeps it merely redundant, not
-        wrong).
+        later one waits here, then is answered from the cache (the
+        service's lookup after this turn).  Returns False on timeout
+        (the caller may proceed anyway; the result cache keeps it merely
+        redundant, not wrong).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._finished:

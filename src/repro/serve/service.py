@@ -16,6 +16,15 @@ child that dies mid-job (SIGKILL, OOM) is detected on its pipe, the job
 is requeued (up to ``max_requeues``, then failed as a ``WorkerCrash``
 record) and the slot respawned.
 
+The parent answers every cache hit it can see itself, before any IPC:
+at admission (a hit is admitted already ``done`` and never takes a
+queue slot, a dispatch thread or a child) and again at dequeue, after
+the job's key turn (a job that waited behind an in-flight copy of its
+own key).  Children only ever receive jobs the parent saw as misses;
+their own lookup stays, because the store-level claim protocol needs it
+across service processes.  Whichever side answers, a finished job
+counts exactly one cache lookup in ``/stats``.
+
 Three properties fall out of building on the existing stack:
 
 * **Single-synthesis semantics, cross-process.**  Content-identical
@@ -149,6 +158,9 @@ class SynthesisService:
         self._children: List[Optional[ProcessWorker]] = [None] * self.workers
         self._stop = threading.Event()
         self._guard = threading.Lock()
+        # the HTTP thread and the dispatch threads all read the parent's
+        # cache handle; store backends are not safe for concurrent reads
+        self._cache_lock = threading.Lock()
         self._strategy_stats: Dict[str, Dict[str, float]] = {}
         self._summary = BatchSummary()
         self._certified_keys: set = set()
@@ -252,6 +264,10 @@ class SynthesisService:
         ``deadline_s`` submission containing non-portfolio tasks raises
         :class:`~repro.api.task.TaskError` (nothing admitted).
 
+        Tasks the cache already answers come back ``done`` at once; only
+        the misses are queued, and only they count against
+        ``max_queue_depth``.
+
         A full queue raises :class:`~repro.serve.queue.QueueFullError`
         (backpressure — retryable, nothing admitted); other queue errors
         (closed for shutdown) surface as :class:`ServiceError`.
@@ -260,12 +276,28 @@ class SynthesisService:
             from ..portfolio.config import with_deadline  # avoid an import cycle
 
             tasks = [with_deadline(task, deadline_s) for task in tasks]
+        tasks = list(tasks)
+        hits = [self._lookup(task) for task in tasks]
         try:
-            return self.queue.submit_many(tasks, priority=priority)
+            jobs = self.queue.submit_many(
+                tasks,
+                priority=priority,
+                records=[None if hit is None else hit.to_dict() for hit in hits],
+            )
         except QueueFullError:
             raise
         except QueueError as exc:
             raise ServiceError(str(exc)) from exc
+        for job, hit in zip(jobs, hits):
+            if hit is not None:
+                self._note_record(job, hit)
+        return jobs
+
+    def _lookup(self, task: SynthesisTask) -> Optional[TaskResult]:
+        """The parent's cache hit for ``task``, or ``None`` (uncounted)."""
+        task.cache_key()  # hash outside the lock; the key is memoized
+        with self._cache_lock:
+            return self.cache.peek(task)
 
     def job(self, job_id: str) -> Optional[Job]:
         """Look up a job by id."""
@@ -286,7 +318,8 @@ class SynthesisService:
         certification cannot be established, and this endpoint promises
         certified results only.
         """
-        record = self.cache.record_for_key(key)
+        with self._cache_lock:
+            record = self.cache.record_for_key(key)
         if record is None:
             return None
         if record.get("feasible"):
@@ -325,13 +358,20 @@ class SynthesisService:
     def _execute_in_child(self, slot: int, job: Job) -> None:
         """Run one job on the slot's child process, surviving its death.
 
-        The in-process key claim still orders content-identical jobs of
-        *this* service (the follower's child then exits through the
-        cache-hit path); the child itself additionally takes the
-        store-level claim file, which is what serializes against other
-        service processes on the same cache directory.
+        The in-process key claim orders content-identical jobs of *this*
+        service, and once a job's turn comes the parent looks it up
+        again: a follower whose leader just finished (or a replayed job
+        whose work reached the cache before a crash) is answered here,
+        without a child.  A child only ever sees a miss; it additionally
+        takes the store-level claim file, which is what serializes
+        against other service processes on the same cache directory.
         """
         self.queue.wait_for_key_turn(job)
+        hit = self._lookup(job.task)
+        if hit is not None:
+            self._note_record(job, hit)
+            self.queue.finish(job, record=hit.to_dict())
+            return
         child = self._children[slot]
         if child is None or not child.alive:
             child = self._children[slot] = self._spawn_child(slot)
@@ -358,17 +398,7 @@ class SynthesisService:
                 job, error=outcome.get("error", ""), error_type=outcome["error_type"]
             )
             return
-        record = TaskResult.from_dict(outcome)
-        with self._guard:
-            # the child's cache instance did the real lookup/write; fold
-            # the outcome into the parent's counters so /stats keeps
-            # describing this service's serving work in one place
-            if record.cached:
-                self.cache.stats.hits += 1
-            else:
-                self.cache.stats.misses += 1
-                self.cache.stats.writes += 1
-        self._note_record(job, record)
+        self._note_record(job, TaskResult.from_dict(outcome))
         self.queue.finish(job, record=outcome)
 
     def _note_failure(self, job: Job, message: str, error_type: str) -> None:
@@ -394,8 +424,17 @@ class SynthesisService:
         CLI uses — accumulated at finish time rather than recounted per
         ``/stats`` request, so a long-lived server's monitoring polls
         stay O(1) in the number of jobs ever served.
+
+        It also counts the job's one cache lookup: the parent's lookups
+        leave :attr:`ResultCache.stats` alone, and a child's lookup and
+        write happen on the child's own cache handle.
         """
         with self._guard:
+            if record.cached:
+                self.cache.stats.hits += 1
+            else:
+                self.cache.stats.misses += 1
+                self.cache.stats.writes += 1
             self._summary.total += 1
             if record.feasible:
                 self._summary.feasible += 1

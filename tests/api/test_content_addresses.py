@@ -3,13 +3,16 @@
 A task's ``cache_key()`` files its result in every on-disk cache and
 store, so a key that moves silently orphans every stored result.  The
 keys below were generated before registered benchmarks' canonical graphs
-were memoized; they pin that memoization (and any later change to the
-canonical spec) to byte-identical addresses.
+and registered libraries' canonical module tables were memoized; they pin
+that memoization (and any later change to the canonical spec) to
+byte-identical addresses.
 """
 
 import pytest
 
-from repro.api.task import CACHE_KEY_VERSION, SynthesisTask
+from repro.api.task import CACHE_KEY_VERSION, SynthesisTask, library_to_dict
+from repro.library.library import FULibrary
+from repro.registries import LIBRARIES
 from repro.ir.serialize import to_dict as cdfg_to_dict
 from repro.suite.registry import BENCHMARKS, benchmark_names, get_benchmark, register_benchmark
 
@@ -85,3 +88,38 @@ def test_replacing_a_benchmark_moves_its_key_and_restoring_it_moves_it_back():
             replace=True,
         )
     assert fixed_task("hal").cache_key() == GOLDEN_KEYS["hal"]
+
+
+def test_mutating_a_canonical_library_does_not_leak_into_later_keys():
+    spec = fixed_task("hal").canonical_spec()
+    spec["library"]["modules"][0]["ops"].append("poisoned")
+    spec["library"]["modules"][0]["area"] = -1.0
+    spec["library"]["modules"].pop()
+    assert fixed_task("hal").cache_key() == GOLDEN_KEYS["hal"]
+
+
+def test_replacing_a_library_moves_its_key_and_restoring_it_moves_it_back():
+    original = LIBRARIES.get("table1")
+    assert fixed_task("hal").cache_key() == GOLDEN_KEYS["hal"]
+
+    def variant():
+        library = original()
+        return FULibrary(library.modules()[:-1], name=library.name)
+
+    try:
+        LIBRARIES.register("table1", variant, replace=True)
+        assert fixed_task("hal").cache_key() != GOLDEN_KEYS["hal"]
+    finally:
+        LIBRARIES.register("table1", original, replace=True)
+    assert fixed_task("hal").cache_key() == GOLDEN_KEYS["hal"]
+
+
+def test_a_registered_library_name_shares_the_inline_key():
+    named = fixed_task("hal")
+    inline = SynthesisTask(
+        graph="hal",
+        latency=named.latency,
+        power_budget=named.power_budget,
+        library=library_to_dict(LIBRARIES.get("table1")()),
+    )
+    assert inline.cache_key() == GOLDEN_KEYS["hal"]
