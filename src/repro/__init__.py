@@ -12,7 +12,7 @@ The package provides:
 * :mod:`repro.binding` — compatibility graphs, clique partitioning,
   register allocation and interconnect estimation,
 * :mod:`repro.synthesis` — the combined power-constrained synthesis
-  engine, baselines and design-space exploration,
+  engine and design-space exploration,
 * :mod:`repro.power` — power profiles, spike analysis and a battery model,
 * :mod:`repro.datapath` — the synthesized RTL datapath and its area model,
 * :mod:`repro.suite` — the hal/cosine/elliptic benchmark CDFGs and more,
@@ -68,9 +68,7 @@ from .synthesis import (
     EngineOptions,
     PowerConstrainedSynthesizer,
     SynthesisResult,
-    naive_synthesis,
     synthesize,
-    time_constrained_synthesis,
 )
 from .power import BatteryParameters, PowerProfile, estimate_lifetime
 from .suite import (
@@ -146,7 +144,7 @@ from .lp import (
     solve_milp,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "CDFG",
@@ -165,9 +163,7 @@ __all__ = [
     "EngineOptions",
     "PowerConstrainedSynthesizer",
     "SynthesisResult",
-    "naive_synthesis",
     "synthesize",
-    "time_constrained_synthesis",
     "BatteryParameters",
     "PowerProfile",
     "estimate_lifetime",

@@ -326,11 +326,7 @@ def _run_task_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     if payload.get("cache_dir"):
         from ..explore.cache import ResultCache  # local import to avoid a cycle
 
-        cache = ResultCache(
-            payload["cache_dir"],
-            read=payload.get("cache_read", True),
-            backend=payload.get("cache_backend"),
-        )
+        cache = ResultCache(payload["cache_dir"], read=payload.get("cache_read", True))
     return run_task(task, keep_result=False, cache=cache).to_dict()
 
 
@@ -411,9 +407,6 @@ def run_batch(
                 "task": task_list[group[0]].to_dict(),
                 "cache_dir": cache_dir,
                 "cache_read": cache.read if cache is not None else True,
-                # a fresh columnar cache may have nothing on disk yet for
-                # the worker to autodetect from; name the backend explicitly
-                "cache_backend": getattr(cache, "backend", None),
             }
             for group in groups
         ]

@@ -16,7 +16,7 @@ flows without writing any Python:
   family run through every scheduler × binder pair, every feasible
   result certified from scratch (see :mod:`repro.verify`),
 * ``store`` — inspect and maintain a result-store directory: ``stats``,
-  ``compact``, ``migrate`` (legacy ↔ columnar, verified bit-identical)
+  ``compact``, ``migrate`` (legacy → columnar, verified bit-identical)
   and ``query`` (columnar range scans; see :mod:`repro.store`),
 * ``serve`` — run the long-lived HTTP synthesis service (persistent job
   queue + worker pool + shared result cache; see :mod:`repro.serve`),
@@ -50,6 +50,7 @@ from .registries import BINDERS, SCHEDULERS, UnknownStrategyError
 from .reporting.experiments import figure1_experiment, table1_report
 from .reporting.series import Series, ascii_plot
 from .reporting.table import render_table
+from .store import StoreError
 from .suite.generators import family_names
 from .suite.registry import benchmark_names, build_benchmark, get_benchmark
 from .synthesis.explore import (
@@ -86,12 +87,7 @@ def _open_cache(args: argparse.Namespace) -> Optional[ResultCache]:
         raise SystemExit("--resume requires --cache-dir (nowhere to resume from)")
     if args.cache_dir is None:
         return None
-    backend = getattr(args, "cache_backend", "auto")
-    return ResultCache(
-        args.cache_dir,
-        read=bool(getattr(args, "resume", False)),
-        backend=None if backend == "auto" else backend,
-    )
+    return ResultCache(args.cache_dir, read=bool(getattr(args, "resume", False)))
 
 
 def _print_cache_summary(cache: Optional[ResultCache]) -> None:
@@ -103,7 +99,7 @@ def _print_cache_summary(cache: Optional[ResultCache]) -> None:
     print(
         f"cache: {stats.hits} hit(s), {stats.misses} miss(es), "
         f"{stats.writes} new record(s) in this process; "
-        f"{len(cache)} on disk in {cache.root} [{cache.backend}]"
+        f"{len(cache)} on disk in {cache.root}"
     )
 
 
@@ -493,10 +489,10 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    from .store import migrate_store, open_store, verify_migration
+    from .store import ColumnarStore, migrate_store, open_store, verify_migration
 
     source = open_store(args.source)
-    destination = open_store(args.destination, backend=args.to)
+    destination = ColumnarStore(args.destination)
     report = migrate_store(source, destination)
     print(
         f"migrated {report['records']} record(s) "
@@ -568,17 +564,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.http import SynthesisServer
     from .serve.service import SynthesisService
 
-    cache = None
-    if args.cache_dir is not None:
-        backend = getattr(args, "cache_backend", "auto")
-        cache = ResultCache(
-            args.cache_dir, backend=None if backend == "auto" else backend
-        )
-    backend = getattr(args, "cache_backend", "auto")
+    cache = None if args.cache_dir is None else ResultCache(args.cache_dir)
     service = SynthesisService(
         args.state_dir,
         cache=cache,
-        cache_backend=None if backend == "auto" else backend,
         workers=args.workers,
         max_queue_depth=args.max_queue_depth,
     ).start()
@@ -693,13 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="also consult --cache-dir before synthesizing: previously "
             "computed points (from any sweep, batch or killed run) return "
             "instantly",
-        )
-        p.add_argument(
-            "--cache-backend",
-            choices=["auto", "legacy", "columnar"],
-            default="auto",
-            help="storage backend for a fresh --cache-dir (an existing "
-            "directory's layout is always autodetected; default: auto)",
         )
 
     synth = sub.add_parser("synthesize", help="run synthesis with any registered strategy")
@@ -892,13 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
         "a private temp dir without --state-dir)",
     )
     serve.add_argument(
-        "--cache-backend",
-        choices=["auto", "legacy", "columnar"],
-        default="auto",
-        help="storage backend for a fresh --cache-dir (existing layouts "
-        "are autodetected)",
-    )
-    serve.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
     )
     serve.set_defaults(handler=_cmd_serve)
@@ -927,17 +902,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_migrate = store_sub.add_parser(
         "migrate",
-        help="copy every record (and replay the journal) into a new "
-        "directory with a different backend, then verify bit-identity",
+        help="convert a legacy cache: copy every record (and replay the "
+        "journal) into a new columnar directory, then verify bit-identity",
     )
     store_migrate.add_argument("source", help="existing cache / store directory")
     store_migrate.add_argument("destination", help="fresh directory for the new store")
-    store_migrate.add_argument(
-        "--to",
-        choices=["legacy", "columnar"],
-        default="columnar",
-        help="destination backend (default: columnar)",
-    )
     store_migrate.add_argument(
         "--no-verify",
         action="store_true",
@@ -1019,7 +988,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except StoreError as exc:
+        raise SystemExit(f"store error: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -12,25 +12,19 @@ invocation, or a worker process of a parallel batch.
 
 Since the store refactor this class is a thin policy facade — read/write
 gating, the journal, lifetime stats, the in-memory layer — over a
-pluggable :class:`~repro.store.ResultStore` backend:
+:class:`~repro.store.ColumnarStore`: sharded append-then-compact files
+built for millions of records, with O(1) counting and indexed range
+scans (``repro store query``).  Every consumer — ``run_task`` /
+``run_batch``, the sweep refiner, the serving layer, fuzz resume, the
+CLI — opens the directory it is given and writes that one format.  A
+directory in the old one-JSON-file-per-key ``legacy`` layout is refused
+with :class:`~repro.store.StoreError`; ``repro store migrate`` converts
+it.
 
-* ``legacy`` (the default for fresh directories): one atomically written
-  JSON object per key under ``<root>/objects/<key[:2]>/<key>.json``,
-* ``columnar``: the sharded append-then-compact
-  :class:`~repro.store.ColumnarStore` built for millions of records,
-  with O(1) counting and indexed range scans (``repro store query``).
-
-The backend of an *existing* directory is always autodetected from its
-layout, so every consumer — ``run_task`` / ``run_batch``, the sweep
-refiner, the serving layer, fuzz resume, the CLI — works identically on
-either; pass ``backend="columnar"`` (CLI: ``--cache-backend columnar``)
-only to choose the layout of a brand-new cache directory.
-
-Whatever the backend, the journal (``<root>/journal.jsonl``) keeps its
-format and semantics: every *computed* record appends one line (cache
-hits are not re-journaled) as a single ``O_APPEND`` write, torn tails
-are tolerated, and a killed grid restarts without rework by replaying
-the same directory.
+The journal (``<root>/journal.jsonl``): every *computed* record appends
+one line (cache hits are not re-journaled) as a single ``O_APPEND``
+write, torn tails are tolerated, and a killed grid restarts without
+rework by replaying the same directory.
 
 Only scalar metrics are cached — the heavyweight
 :class:`~repro.synthesis.result.SynthesisResult` object is dropped, just
@@ -48,12 +42,10 @@ from ..api.batch import TaskResult
 from ..api.task import SynthesisTask
 from ..store import (
     JOURNAL_NAME,
-    LegacyStore,
-    StoreError,
+    ColumnarStore,
     append_journal_line,
     iter_journal,
     load_journal,
-    open_store,
 )
 
 __all__ = [
@@ -95,11 +87,9 @@ class ResultCache:
             ``--cache-dir`` without ``--resume``).
         write: Store computed records on :meth:`put`.
         journal: Also append every stored record to ``journal.jsonl``.
-        backend: Storage backend for a *fresh* directory (``"legacy"`` /
-            ``"columnar"``); an existing directory's layout always wins,
-            and naming a conflicting backend raises
-            :class:`~repro.store.StoreError` instead of splitting the
-            store across formats.
+
+    Raises:
+        StoreError: ``root`` holds a legacy cache (migrate it first).
 
     An in-memory layer fronts the disk so repeated lookups of the same
     point within one process (e.g. bisection probes) cost one file read.
@@ -112,34 +102,20 @@ class ResultCache:
         read: bool = True,
         write: bool = True,
         journal: bool = True,
-        backend: Optional[str] = None,
     ) -> None:
         self.root = Path(root).expanduser()
         self.read = read
         self.write = write
         self.journal = journal
         self.stats = CacheStats()
-        self.store = open_store(self.root, backend=backend)
+        self.store = ColumnarStore(self.root)
         self._memory: Dict[str, Dict[str, Any]] = {}
-
-    @property
-    def backend(self) -> str:
-        """Name of the storage backend this cache sits on."""
-        return self.store.backend
 
     # ------------------------------------------------------------------ #
     # Addressing
     # ------------------------------------------------------------------ #
     def key_for(self, task: SynthesisTask) -> str:
         return task.cache_key()
-
-    def _object_path(self, key: str) -> Path:
-        """Legacy-layout object path (kept for tooling and tests)."""
-        if isinstance(self.store, LegacyStore):
-            return self.store.object_path(key)
-        raise StoreError(
-            f"the {self.backend!r} backend does not file one object per key"
-        )
 
     @property
     def journal_path(self) -> Path:
@@ -236,14 +212,12 @@ class ResultCache:
     def __len__(self) -> int:
         """Number of records on disk (not just in this process's memory).
 
-        O(1) on the columnar backend (a maintained count); a directory
-        scan on the legacy one.
+        O(1): the store maintains its count.
         """
         return self.store.count()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = ("r" if self.read else "") + ("w" if self.write else "")
         return (
-            f"ResultCache({str(self.root)!r}, backend={self.backend!r}, "
-            f"mode={mode!r}, {self.stats})"
+            f"ResultCache({str(self.root)!r}, mode={mode!r}, {self.stats})"
         )

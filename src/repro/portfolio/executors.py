@@ -165,12 +165,10 @@ class ProcessExecutor(RaceExecutor):
         self,
         cache_dir: str,
         *,
-        cache_backend: Optional[str] = None,
         verify: bool = True,
         owner: str = "portfolio",
     ) -> None:
         self.cache_dir = str(cache_dir)
-        self.cache_backend = cache_backend
         self.verify = verify
         self.owner = owner
         self._active: Dict[int, Any] = {}
@@ -181,7 +179,6 @@ class ProcessExecutor(RaceExecutor):
 
         worker = ProcessWorker(
             self.cache_dir,
-            cache_backend=self.cache_backend,
             verify=self.verify,
             name=f"repro-portfolio-{contender.label}",
         )
@@ -318,7 +315,5 @@ def default_executor(cache=None) -> RaceExecutor:
         and getattr(cache, "write", False)
         and getattr(cache, "root", None) is not None
     ):
-        return ProcessExecutor(
-            str(cache.root), cache_backend=getattr(cache, "backend", None)
-        )
+        return ProcessExecutor(str(cache.root))
     return InlineExecutor(cache)

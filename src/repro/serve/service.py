@@ -101,9 +101,6 @@ class SynthesisService:
             and examples, no crash tolerance.
         cache: A :class:`~repro.explore.cache.ResultCache` to share; by
             default one is opened at ``<state_dir>/cache``.
-        cache_backend: Storage backend for a cache the service opens
-            itself (``"legacy"`` / ``"columnar"``; existing directories
-            autodetect).  Ignored when ``cache`` is given.
         workers: Worker slots executing jobs concurrently, each paired
             with a child process doing the CPU-bound synthesis.
         max_queue_depth: Bound on the pending backlog; beyond it,
@@ -127,7 +124,6 @@ class SynthesisService:
         state_dir: Optional[Union[str, Path]] = None,
         *,
         cache: Optional[ResultCache] = None,
-        cache_backend: Optional[str] = None,
         workers: int = 2,
         max_queue_depth: Optional[int] = None,
         max_requeues: int = 2,
@@ -139,15 +135,11 @@ class SynthesisService:
         self._owns_temp_cache = False
         if cache is None:
             if state_dir is not None:
-                cache = ResultCache(
-                    Path(state_dir).expanduser() / "cache", backend=cache_backend
-                )
+                cache = ResultCache(Path(state_dir).expanduser() / "cache")
             else:
                 import tempfile
 
-                cache = ResultCache(
-                    tempfile.mkdtemp(prefix="repro-serve-"), backend=cache_backend
-                )
+                cache = ResultCache(tempfile.mkdtemp(prefix="repro-serve-"))
                 self._owns_temp_cache = True
         self.cache = cache
         self.workers = int(workers)
@@ -159,7 +151,7 @@ class SynthesisService:
         self._stop = threading.Event()
         self._guard = threading.Lock()
         # the HTTP thread and the dispatch threads all read the parent's
-        # cache handle; store backends are not safe for concurrent reads
+        # cache handle; the store is not safe for concurrent reads
         self._cache_lock = threading.Lock()
         self._strategy_stats: Dict[str, Dict[str, float]] = {}
         self._summary = BatchSummary()
@@ -195,7 +187,6 @@ class SynthesisService:
     def _spawn_child(self, slot: int) -> ProcessWorker:
         return ProcessWorker(
             str(self.cache.root),
-            cache_backend=self.cache.backend,
             verify=self.verify,
             name=f"repro-serve-child-{slot}",
         )
@@ -511,7 +502,7 @@ class SynthesisService:
                 "jobs": counts,
             },
             "cache": {
-                "backend": self.cache.backend,
+                "backend": self.cache.store.backend,
                 "hits": cache_stats.hits,
                 "misses": cache_stats.misses,
                 "writes": cache_stats.writes,

@@ -119,7 +119,6 @@ def run_claimed_task(
 def _child_main(
     conn,
     cache_dir: str,
-    cache_backend: Optional[str],
     verify: bool,
     lease: float,
 ) -> None:
@@ -129,7 +128,7 @@ def _child_main(
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     parent = os.getppid()
-    cache = ResultCache(cache_dir, backend=cache_backend)
+    cache = ResultCache(cache_dir)
     while True:
         try:
             # Poll instead of a bare recv: forked siblings inherit each
@@ -164,13 +163,11 @@ class ProcessWorker:
         self,
         cache_dir: str,
         *,
-        cache_backend: Optional[str] = None,
         verify: bool = True,
         lease: float = claims.DEFAULT_LEASE,
         name: str = "repro-serve-worker",
     ) -> None:
         self.cache_dir = str(cache_dir)
-        self.cache_backend = cache_backend
         self.verify = verify
         self.lease = lease
         self.name = name
@@ -178,7 +175,7 @@ class ProcessWorker:
         self._conn, child_conn = ctx.Pipe(duplex=True)
         self._process = ctx.Process(
             target=_child_main,
-            args=(child_conn, self.cache_dir, cache_backend, verify, lease),
+            args=(child_conn, self.cache_dir, verify, lease),
             name=name,
             daemon=True,
         )

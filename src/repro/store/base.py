@@ -11,12 +11,13 @@ answers three kinds of questions:
 * **inventory**: :meth:`ResultStore.count`, :meth:`ResultStore.keys`,
   :meth:`ResultStore.iter_payloads`.
 
-Two backends implement it: :class:`~repro.store.legacy.LegacyStore`, the
-original one-JSON-file-per-key layout, and
-:class:`~repro.store.columnar.ColumnarStore`, the sharded append-then-
-compact columnar format built for millions of records.  The
+Two backends implement it: :class:`~repro.store.columnar.ColumnarStore`,
+the sharded append-then-compact columnar format built for millions of
+records and the only layout the
 :class:`~repro.explore.cache.ResultCache` facade (journal, stats,
-in-memory layer, read/write gating) works identically over either.
+in-memory layer, read/write gating) writes, and
+:class:`~repro.store.legacy.LegacyStore`, the original
+one-JSON-file-per-key layout old caches are read and migrated through.
 
 :class:`StoredRow` is the scalar projection of one record — what a range
 scan yields without touching the full JSON blob.  ``scan`` only

@@ -34,14 +34,18 @@ after its successor is durable.
 
 **Read path.**  Point lookups binary-search the sorted key block of the
 newest generation after checking the in-memory index of the append
-tail; range scans ask :meth:`CompactedReader.match_indices` to load only
-the filtered columns, then overlay the (small) uncompacted tail.
+tail, which a refresh extends by reading only the bytes appended since
+its last whole frame (a long-lived handle's miss costs O(new records),
+not O(tail)); range scans ask :meth:`CompactedReader.match_indices` to
+load only the filtered columns, then overlay the (small) uncompacted
+tail.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -54,6 +58,7 @@ from .format import (
     valid_prefix_length,
     write_compacted,
 )
+from .legacy import OBJECTS_DIR
 
 try:  # pragma: no cover - always available on the POSIX targets we support
     import fcntl
@@ -87,36 +92,49 @@ class _Shard:
         self.generation = -1
         self.frames: Dict[str, Frame] = {}  # append + consumed tail, newest wins
         self._segment_state: Dict[str, Tuple[int, int, int]] = {}  # name -> dev,ino,size
+        self._parsed: Dict[str, int] = {}  # name -> end offset of its last whole frame
         self.loaded = False
 
     @property
     def append_path(self) -> Path:
         return self.root / "append.seg"
 
-    def generations(self) -> List[Tuple[int, Path]]:
-        if not self.root.is_dir():
+    def listing(self) -> List[str]:
+        """The shard directory's file names, sorted (one ``listdir``)."""
+        try:
+            return sorted(os.listdir(self.root))
+        except OSError:
             return []
+
+    def generations(self, names: Optional[List[str]] = None) -> List[Tuple[int, Path]]:
         found = []
-        for path in self.root.glob("compact-*.col"):
-            try:
-                found.append((int(path.stem.split("-", 1)[1]), path))
-            except ValueError:
-                continue
+        for name in self.listing() if names is None else names:
+            if name.startswith("compact-") and name.endswith(".col"):
+                try:
+                    found.append((int(name[len("compact-") : -len(".col")]), self.root / name))
+                except ValueError:
+                    continue
         return sorted(found)
 
-    def segments(self) -> List[Path]:
+    def segments(self, names: Optional[List[str]] = None) -> List[Path]:
         """Uncompacted data, oldest first: consumed leftovers then the tail."""
-        if not self.root.is_dir():
-            return []
-        consumed = sorted(self.root.glob("consumed-*.seg"))
-        tail = self.append_path
-        return consumed + ([tail] if tail.exists() else [])
+        names = self.listing() if names is None else names
+        consumed = [
+            self.root / name
+            for name in names
+            if name.startswith("consumed-") and name.endswith(".seg")
+        ]
+        return consumed + ([self.append_path] if "append.seg" in names else [])
 
     def refresh(self, force: bool = False) -> bool:
         """Re-sync with the directory; True when anything changed."""
         changed = not self.loaded or force
         self.loaded = True
-        generations = self.generations()
+        # one listing serves both scans: a serving parent refreshes on
+        # every miss, inside its request path, so a miss must stay about
+        # as cheap as the legacy layout's failed open
+        names = self.listing()
+        generations = self.generations(names)
         newest = generations[-1] if generations else None
         if newest is not None and newest[0] != self.generation:
             for generation, path in reversed(generations):
@@ -135,7 +153,7 @@ class _Shard:
             changed = True
 
         state: Dict[str, Tuple[int, int, int]] = {}
-        for path in self.segments():
+        for path in self.segments(names):
             try:
                 stat = os.stat(path)
             except OSError:
@@ -143,15 +161,30 @@ class _Shard:
             state[path.name] = (stat.st_dev, stat.st_ino, stat.st_size)
         if state != self._segment_state:
             changed = True
+            # Writers only ever add bytes after a segment's last whole frame
+            # (a torn tail is truncated away, never rewritten in place), so
+            # while every segment keeps its identity only the new bytes are
+            # read; a rotation or a vanished segment re-reads them all.
+            appended = state.keys() == self._segment_state.keys() and all(
+                state[name][:2] == old[:2] and state[name][2] >= self._parsed.get(name, 0)
+                for name, old in self._segment_state.items()
+            )
+            if not appended:
+                self.frames, self._parsed = {}, {}
             self._segment_state = state
-            self.frames = {}
-            for path in self.segments():
+            for name, (_, _, size) in state.items():
+                start = self._parsed.get(name, 0)
+                if size == start:
+                    continue
                 try:
-                    data = path.read_bytes()
+                    with open(self.root / name, "rb") as handle:
+                        handle.seek(start)
+                        data = handle.read()
                 except OSError:
                     continue
-                for _, frame in iter_frames(data):
+                for end, frame in iter_frames(data):
                     self.frames[frame.key] = frame
+                    self._parsed[name] = start + end
         return changed
 
 
@@ -163,6 +196,11 @@ class ColumnarStore(ResultStore):
     def __init__(self, root, *, shard_width: Optional[int] = None) -> None:
         super().__init__(root)
         manifest = self._read_manifest()
+        if manifest is None and (self.root / OBJECTS_DIR).is_dir():
+            raise StoreError(
+                f"{self.root} is a legacy cache directory; convert it with "
+                f"'repro store migrate {self.root} NEW_DIR' and use NEW_DIR"
+            )
         if manifest is not None:
             declared = int(manifest.get("shard_width", 1))
             if shard_width is not None and shard_width != declared:
@@ -207,8 +245,11 @@ class ColumnarStore(ResultStore):
                 "version": MANIFEST_VERSION,
                 "shard_width": self.shard_width,
             }
-            tmp = self.manifest_path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+            # every first writer races to publish the same manifest: each
+            # needs its own temp name, or one's rename steals another's
+            fd, tmp = tempfile.mkstemp(dir=self.root, prefix=MANIFEST_NAME, suffix=".tmp")
+            with os.fdopen(fd, "w") as handle:
+                handle.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
             os.replace(tmp, self.manifest_path)
 
     def _shard_prefix(self, key: str) -> str:
@@ -279,8 +320,7 @@ class ColumnarStore(ResultStore):
             finally:
                 os.close(fd)
         frame = next(iter_frames(frame_bytes))[1]
-        shard.frames[key] = frame
-        shard._segment_state = {}  # sizes moved; next refresh rescans and recounts
+        shard.frames[key] = frame  # the segment grew: the next refresh recounts
 
     # ------------------------------------------------------------------ #
     # Read path

@@ -1,4 +1,4 @@
-"""The append-only JSONL journal shared by every cache backend.
+"""The append-only JSONL journal next to every result store.
 
 The journal is the human-greppable trail of everything that was actually
 *computed* (cache hits are never re-journaled) and the replay feed for

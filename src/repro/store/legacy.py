@@ -2,9 +2,12 @@
 
 This is the layout every cache directory used before the columnar
 backend existed — ``<root>/objects/<key[:2]>/<key>.json``, one atomically
-written object per content address — preserved byte-for-byte so existing
-cache directories keep working untouched and so the columnar backend has
-an exact semantic baseline to be measured against.
+written object per content address.  No cache writes it any more: it is
+kept so old cache directories can still be inspected (``repro store
+stats``/``query``) and converted (``repro store migrate``), and so the
+columnar backend has an exact semantic baseline to be measured against
+(the store parity tests and ``benchmarks/bench_store_scale.py`` write
+it through :meth:`LegacyStore.put`).
 
 Range scans exist here too, honestly: a :meth:`LegacyStore.scan` opens
 and parses every object file and filters in Python.  That is the cost
@@ -22,6 +25,9 @@ from typing import Any, Dict, Iterator, Optional
 
 from .base import ResultStore, StoreError, StoreQuery, row_from_payload
 
+#: The directory whose presence marks a legacy cache.
+OBJECTS_DIR = "objects"
+
 
 class LegacyStore(ResultStore):
     """One-JSON-object-per-key :class:`ResultStore` backend."""
@@ -30,7 +36,7 @@ class LegacyStore(ResultStore):
 
     def object_path(self, key: str) -> Path:
         """Where one content address is filed (``objects/<k[:2]>/<k>.json``)."""
-        return self.root / "objects" / key[:2] / f"{key}.json"
+        return self.root / OBJECTS_DIR / key[:2] / f"{key}.json"
 
     # ------------------------------------------------------------------ #
     # Point access
@@ -67,7 +73,7 @@ class LegacyStore(ResultStore):
     # Scans / inventory
     # ------------------------------------------------------------------ #
     def _object_files(self) -> Iterator[Path]:
-        objects = self.root / "objects"
+        objects = self.root / OBJECTS_DIR
         if not objects.is_dir():
             return
         yield from objects.glob("*/*.json")

@@ -1,8 +1,8 @@
 """Backend migration: move a result store between layouts, verifiably.
 
 ``repro store migrate`` (and the :func:`migrate_store` API under it)
-rewrites every stored payload from a source directory into a destination
-with a different backend, then — because a cache that silently dropped
+rewrites every stored payload from a source directory — in practice an
+old legacy cache — into a fresh columnar destination, then — because a cache that silently dropped
 or mutated records is worse than no cache — :func:`verify_migration`
 re-reads both sides and asserts the record dictionaries are
 **bit-identical** per content address.

@@ -1,4 +1,4 @@
-"""Combined power-constrained synthesis: engine, baselines, exploration."""
+"""Combined power-constrained synthesis: engine, exploration."""
 
 from .result import (
     PowerInfeasibleSynthesisError,
@@ -7,7 +7,6 @@ from .result import (
     TimingInfeasibleError,
 )
 from .engine import EngineOptions, PowerConstrainedSynthesizer, synthesize
-from .baseline import naive_synthesis, time_constrained_synthesis
 from .explore import (
     SweepPoint,
     SweepResult,
@@ -25,8 +24,6 @@ __all__ = [
     "EngineOptions",
     "PowerConstrainedSynthesizer",
     "synthesize",
-    "naive_synthesis",
-    "time_constrained_synthesis",
     "SweepPoint",
     "SweepResult",
     "default_power_grid",

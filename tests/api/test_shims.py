@@ -1,21 +1,8 @@
-"""The legacy entry points must warn and delegate to the task/pipeline API."""
-
-import pytest
+"""The legacy entry points must delegate to the task/pipeline API."""
 
 from repro.api import Pipeline, SynthesisTask
-from repro.synthesis.baseline import naive_synthesis, time_constrained_synthesis
 from repro.synthesis.engine import synthesize
 from repro.synthesis.explore import synthesize_point
-
-
-class TestDeprecationWarnings:
-    def test_naive_synthesis_warns(self, hal, library):
-        with pytest.warns(DeprecationWarning, match="naive_synthesis"):
-            naive_synthesis(hal, library)
-
-    def test_time_constrained_synthesis_warns(self, hal, library):
-        with pytest.warns(DeprecationWarning, match="time_constrained_synthesis"):
-            time_constrained_synthesis(hal, library, latency=17)
 
 
 class TestDelegation:
@@ -31,37 +18,6 @@ class TestDelegation:
         result = synthesize(hal, library, latency=17, max_power=12.0)
         assert result.metadata["library"] == library.name
         assert result.metadata["scheduler"] == "engine"
-
-    def test_naive_synthesis_equals_naive_task(self, hal, library):
-        with pytest.warns(DeprecationWarning):
-            via_shim = naive_synthesis(hal, library)
-        task = SynthesisTask.of(
-            hal,
-            library=library,
-            scheduler="asap",
-            binder="naive",
-            selector="min_area",
-            verify=False,
-        )
-        via_task = Pipeline.default().run(task)
-        assert via_shim.total_area == via_task.total_area
-        assert via_shim.schedule.start_times == via_task.schedule.start_times
-        assert via_shim.datapath.instance_count() == via_task.datapath.instance_count()
-
-    def test_naive_synthesis_keeps_legacy_surface(self, hal, library):
-        with pytest.warns(DeprecationWarning):
-            result = naive_synthesis(hal, library)
-        assert result.metadata["flow"] == "naive"
-        assert "naive: one instance per operation" in result.trace
-        assert result.datapath.instance_count() == len(hal.schedulable_operations())
-
-    def test_time_constrained_equals_unbounded_engine_task(self, cosine, library):
-        with pytest.warns(DeprecationWarning):
-            via_shim = time_constrained_synthesis(cosine, library, latency=15)
-        task = SynthesisTask.of(cosine, library=library, latency=15, power_budget=None)
-        via_task = Pipeline.default().run(task)
-        assert via_shim.total_area == via_task.total_area
-        assert via_shim.constraints.power.is_unbounded
 
     def test_synthesize_point_infeasible_still_none(self, hal, library):
         assert synthesize_point(hal, library, 17, 2.0) is None

@@ -6,6 +6,8 @@ import pytest
 
 from repro.api import Pipeline, SynthesisTask, run_batch, run_task
 from repro.explore import JOURNAL_NAME, ResultCache, load_journal
+from repro.store import ColumnarStore, LegacyStore, StoreError
+from repro.store.format import iter_frames
 
 
 def hal_task(power=12.0, **kwargs):
@@ -80,11 +82,14 @@ class TestResultCacheBasics:
         assert len(cache) == 2
 
     def test_corrupt_object_file_is_a_miss(self, tmp_path):
+        """A stored frame whose bytes rotted fails its CRC: a miss."""
         cache = ResultCache(tmp_path)
         task = hal_task()
         key = cache.put(task, run_task(task))
-        path = cache._object_path(key)
-        path.write_text("{not json")
+        segment = tmp_path / "shards" / key[0] / "append.seg"
+        data = bytearray(segment.read_bytes())
+        data[-2] ^= 0xFF
+        segment.write_bytes(bytes(data))
         fresh = ResultCache(tmp_path)
         assert fresh.get(task) is None
         assert fresh.stats.misses == 1
@@ -274,35 +279,44 @@ class TestBatchWithCache:
 
 class TestObjectFileFormat:
     def test_object_file_is_stable_json_with_key(self, tmp_path):
+        """One frame per record, filed under its content address, its
+        record body canonical JSON; a fresh handle round-trips it."""
         cache = ResultCache(tmp_path)
         task = hal_task()
         key = cache.put(task, run_task(task))
-        payload = json.loads(cache._object_path(key).read_text())
-        assert payload["key"] == key == task.cache_key()
+        segment = tmp_path / "shards" / key[0] / "append.seg"
+        ((_, frame),) = iter_frames(segment.read_bytes())
+        assert frame.key == key == task.cache_key()
+        canonical = json.dumps(frame.record(), sort_keys=True, separators=(",", ":"))
+        assert frame.blob == canonical.encode("utf-8")
+        payload = ColumnarStore(tmp_path).get(key)
+        assert payload == {"key": key, "record": frame.record()}
         assert payload["record"]["feasible"] is True
         assert "result" not in payload["record"]
 
 
 class TestStoreFacade:
-    """The cache is a facade over repro.store — both backends, one policy."""
+    """The cache is a facade over repro.store's columnar layout."""
 
     def test_columnar_backend_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="columnar")
-        assert cache.backend == "columnar"
+        cache = ResultCache(tmp_path)
+        assert cache.store.backend == "columnar"
         task = hal_task()
         record = run_task(task, cache=cache)
         hit = cache.get(task)
         assert hit is not None and hit.cached and hit.area == record.area
+        manifest = json.loads((tmp_path / "store.json").read_text())
+        assert manifest["backend"] == "columnar"
+        assert not (tmp_path / "objects").exists()
 
     def test_columnar_hit_survives_a_fresh_instance(self, tmp_path):
-        run_task(hal_task(), cache=ResultCache(tmp_path, backend="columnar"))
-        reopened = ResultCache(tmp_path)  # backend autodetected
-        assert reopened.backend == "columnar"
+        run_task(hal_task(), cache=ResultCache(tmp_path))
+        reopened = ResultCache(tmp_path)
         hit = reopened.get(hal_task())
         assert hit is not None and hit.cached
 
     def test_columnar_len_is_maintained(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="columnar")
+        cache = ResultCache(tmp_path)
         assert len(cache) == 0
         run_task(hal_task(12.0), cache=cache)
         run_task(hal_task(13.0), cache=cache)
@@ -311,7 +325,7 @@ class TestStoreFacade:
         assert len(cache) == 2
 
     def test_columnar_journal_kept_identical(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="columnar")
+        cache = ResultCache(tmp_path)
         run_task(hal_task(), cache=cache)
         lines = (tmp_path / JOURNAL_NAME).read_text().splitlines()
         assert len(lines) == 1
@@ -327,25 +341,41 @@ class TestStoreFacade:
         assert key in cache._memory  # second call never touches the disk
         assert cache.record_for_key(key)["feasible"] is True
 
-    def test_object_path_raises_on_columnar(self, tmp_path):
-        from repro.store import StoreError
+    def test_parallel_batch_leaves_a_columnar_store(self, tmp_path):
+        tasks = [hal_task(p) for p in (9.0, 12.0, 20.0)]
+        run_batch(tasks, jobs=2, keep_results=False, cache=ResultCache(tmp_path))
+        manifest = json.loads((tmp_path / "store.json").read_text())
+        assert manifest["backend"] == "columnar"
+        assert not (tmp_path / "objects").exists()
+        store = ColumnarStore(tmp_path)
+        assert sorted(store.keys()) == sorted(t.cache_key() for t in tasks)
 
-        cache = ResultCache(tmp_path, backend="columnar")
-        run_task(hal_task(), cache=cache)
-        with pytest.raises(StoreError):
-            cache._object_path(cache.key_for(hal_task()))
-
-    def test_batch_parity_across_backends(self, tmp_path):
-        budgets = [9.0, 12.0, 20.0]
-        tasks = [hal_task(p) for p in budgets]
-        legacy = run_batch(tasks, keep_results=False, cache=ResultCache(tmp_path / "a"))
-        columnar = run_batch(
-            tasks,
-            keep_results=False,
-            cache=ResultCache(tmp_path / "b", backend="columnar"),
+    def test_legacy_directory_is_refused(self, tmp_path):
+        task = hal_task()
+        LegacyStore(tmp_path).put(
+            task.cache_key(), {"key": task.cache_key(), "record": run_task(task).to_dict()}
         )
-        for left, right in zip(legacy, columnar):
-            assert (left.feasible, left.area) == (right.feasible, right.area)
+        with pytest.raises(StoreError, match="repro store migrate"):
+            ResultCache(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["objects"]
+
+    def test_migrated_legacy_directory_answers_hits(self, tmp_path):
+        from repro.cli import main
+
+        tasks = [hal_task(p) for p in (2.0, 12.0)]
+        legacy = LegacyStore(tmp_path / "old")
+        for task in tasks:
+            legacy.put(
+                task.cache_key(),
+                {"key": task.cache_key(), "record": run_task(task).to_dict()},
+            )
+        assert main(["store", "migrate", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+        cache = ResultCache(tmp_path / "new")
+        hits = [cache.get(task) for task in tasks]
+        assert all(hit is not None and hit.cached for hit in hits)
+        assert [hit.feasible for hit in hits] == [False, True]
+        assert hits[1].area == 528.0
+        assert cache.stats.hits == 2
 
 
 class TestIterJournal:

@@ -8,6 +8,7 @@ and the ``run_task`` dispatch/caching path end to end.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -195,6 +196,16 @@ class TestRunTaskDispatch:
         assert hit is not None
         assert hit.feasible is True
         assert hit.area == cold.area
+
+    def test_race_directory_is_columnar(self, tmp_path):
+        """Contender children write the race's cache directory in the
+        one columnar layout."""
+        cache = ResultCache(tmp_path / "cache")
+        record = run_task(self.small_task(), keep_result=False, cache=cache)
+        assert record.feasible is True
+        manifest = json.loads((tmp_path / "cache" / "store.json").read_text())
+        assert manifest["backend"] == "columnar"
+        assert not (tmp_path / "cache" / "objects").exists()
 
     def test_warm_concrete_record_preanswers_the_race(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -73,6 +73,16 @@ class TestExecution:
             service.wait([job], timeout=60)
             assert job.record["cached"] is True
 
+    def test_children_write_the_columnar_layout(self, tmp_path):
+        with SynthesisService(tmp_path, workers=1) as service:
+            jobs = service.submit_many([task()])
+            service.wait(jobs, timeout=60)
+            assert service.stats()["cache"]["backend"] == "columnar"
+        cache_dir = tmp_path / "cache"
+        assert json.loads((cache_dir / "store.json").read_text())["backend"] == "columnar"
+        assert not (cache_dir / "objects").exists()
+        assert ResultCache(cache_dir).get(task()) is not None
+
 
 class TestLifecycle:
     def test_requires_at_least_one_worker(self):

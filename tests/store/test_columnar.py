@@ -204,18 +204,25 @@ class TestBackendSelection:
         assert detect_backend(tmp_path) == "legacy"
         assert open_store(tmp_path).backend == "legacy"
 
-    def test_fresh_dir_defaults_to_legacy(self, tmp_path):
-        assert open_store(tmp_path).backend == "legacy"
-        assert open_store(tmp_path / "x", backend="columnar").backend == "columnar"
+    def test_fresh_dir_defaults_to_columnar(self, tmp_path):
+        store = open_store(tmp_path / "x")
+        assert store.backend == "columnar"
+        fill(store, 1)
+        assert (tmp_path / "x" / "store.json").exists()
+        assert not (tmp_path / "x" / "objects").exists()
 
     def test_conflicting_backend_refused(self, tmp_path):
-        fill(ColumnarStore(tmp_path), 1)
+        """A columnar store never opens over (and writes next to) a
+        legacy ``objects/`` tree."""
+        fill(LegacyStore(tmp_path), 1)
         with pytest.raises(StoreError, match="migrate"):
-            open_store(tmp_path, backend="legacy")
+            ColumnarStore(tmp_path)
+        assert not (tmp_path / "store.json").exists()
 
     def test_unknown_backend_refused(self, tmp_path):
-        with pytest.raises(StoreError):
-            open_store(tmp_path, backend="parquet")
+        (tmp_path / "store.json").write_text('{"backend": "parquet"}')
+        with pytest.raises(StoreError, match="parquet"):
+            open_store(tmp_path)
 
     def test_shard_width_conflict_refused(self, tmp_path):
         fill(ColumnarStore(tmp_path, shard_width=1), 1)

@@ -1,12 +1,15 @@
-"""Concurrent multi-process writer parity against the legacy backend.
+"""Concurrent multi-process writers on the columnar store.
 
 Several worker processes hammer one columnar store (interleaved appends,
 one mid-stream compaction) while the same records land in a legacy store
-from the parent — afterwards both must answer identically.
+from the parent — afterwards both must answer identically.  Writers that
+make their first ``put`` into a fresh directory at the same moment must
+all succeed.
 """
 
 import json
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from .conftest import make_payload
 
 WORKERS = 4
 PER_WORKER = 30
+FRESH_TRIALS = 40
 
 
 def _write_slice(root, worker):
@@ -77,3 +81,40 @@ class TestMultiProcessParity:
         reopened = ColumnarStore(columnar.root)
         assert reopened.count() == WORKERS * PER_WORKER
         assert sorted(reopened.keys()) == sorted(legacy.keys())
+
+
+def _first_puts(root, worker, barrier):
+    """One writer: per trial, meet the others, then put into a fresh store."""
+    try:
+        for trial in range(FRESH_TRIALS):
+            barrier.wait(timeout=30)
+            key, payload = make_payload(trial * WORKERS + worker)
+            ColumnarStore(Path(root) / f"trial-{trial}").put(key, payload)
+    except BaseException:
+        barrier.abort()  # release the others instead of leaving them waiting
+        raise
+
+
+class TestFreshDirectoryWriters:
+    def test_simultaneous_first_puts_all_land(self, tmp_path):
+        """Every first writer publishes the manifest; none may trip on
+        another's temp file."""
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(WORKERS)
+        writers = [
+            ctx.Process(target=_first_puts, args=(str(tmp_path), worker, barrier))
+            for worker in range(WORKERS)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(120)
+        assert [writer.exitcode for writer in writers] == [0] * WORKERS
+        for trial in range(FRESH_TRIALS):
+            root = tmp_path / f"trial-{trial}"
+            assert json.loads((root / "store.json").read_text())["backend"] == "columnar"
+            assert sorted(p.name for p in root.iterdir()) == ["shards", "store.json"]
+            store = ColumnarStore(root)
+            for worker in range(WORKERS):
+                key, payload = make_payload(trial * WORKERS + worker)
+                assert store.get(key) == {"key": key, "record": payload["record"]}

@@ -68,6 +68,29 @@ class TestTornAppend:
         assert writer.get(key) is not None
         assert writer.count() == 21
 
+    def test_live_reader_follows_repairs_and_rotations(self, columnar):
+        """A long-lived reader reads each segment on from its last whole
+        frame: past a torn tail, its repair, and another instance's
+        compaction rotating the segment away."""
+        expected = fill(columnar, 20)
+        reader = ColumnarStore(columnar.root)
+        assert reader.count() == 20
+        torn_shards(columnar)
+        assert reader.count() == 20
+        writer = ColumnarStore(columnar.root)
+        for index in range(100, 140):
+            key, payload = make_payload(index)
+            writer.put(key, payload)  # repairs each torn tail, then appends
+            expected[key] = payload
+        assert reader.count() == 60
+        writer.compact()
+        key, payload = make_payload(200)
+        writer.put(key, payload)
+        expected[key] = payload
+        assert reader.count() == 61
+        for key, payload in expected.items():
+            assert reader.get(key)["record"] == payload["record"]
+
     def test_compaction_after_torn_tail_keeps_all_valid_frames(self, columnar):
         expected = fill(columnar, 20)
         torn_shards(columnar)

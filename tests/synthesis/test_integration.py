@@ -13,9 +13,10 @@ import pytest
 from repro.power.battery import low_quality_battery
 from repro.power.lifetime import compare_lifetimes
 from repro.suite.registry import build_benchmark, figure2_cases
-from repro.synthesis.baseline import naive_synthesis, time_constrained_synthesis
 from repro.synthesis.engine import synthesize
 from repro.synthesis.explore import minimum_feasible_power, synthesize_point
+
+from .test_baseline import naive_design, unconstrained_design
 
 
 CASES = figure2_cases()
@@ -39,7 +40,7 @@ def test_power_constraint_costs_at_most_bounded_area(bench_name, latency, librar
     amount of area.  We assert the constrained design never costs more than
     2x the unconstrained one (in practice it is far less)."""
     cdfg = build_benchmark(bench_name)
-    unconstrained = time_constrained_synthesis(cdfg, library, latency)
+    unconstrained = unconstrained_design(cdfg, library, latency)
     p_min = minimum_feasible_power(cdfg, library, latency)
     constrained = synthesize(cdfg, library, latency, p_min + 1.0)
     assert constrained.total_area <= 2.0 * unconstrained.total_area
@@ -48,9 +49,9 @@ def test_power_constraint_costs_at_most_bounded_area(bench_name, latency, librar
 @pytest.mark.parametrize("bench_name", ["hal", "cosine", "elliptic", "fir", "ar"])
 def test_sharing_always_beats_naive(bench_name, library):
     cdfg = build_benchmark(bench_name)
-    naive = naive_synthesis(cdfg, library)
+    naive = naive_design(cdfg, library)
     latency = naive.latency + 6
-    shared = time_constrained_synthesis(cdfg, library, latency)
+    shared = unconstrained_design(cdfg, library, latency)
     assert shared.total_area < naive.total_area
     assert shared.datapath.instance_count() < naive.datapath.instance_count()
 
@@ -60,8 +61,8 @@ def test_tighter_latency_never_cheaper(library):
     costs less area (at unconstrained power)."""
     for bench_name, latencies in (("hal", (10, 17)), ("cosine", (12, 19))):
         cdfg = build_benchmark(bench_name)
-        tight = time_constrained_synthesis(cdfg, library, latencies[0])
-        loose = time_constrained_synthesis(cdfg, library, latencies[1])
+        tight = unconstrained_design(cdfg, library, latencies[0])
+        loose = unconstrained_design(cdfg, library, latencies[1])
         assert tight.total_area >= loose.total_area
 
 
@@ -69,7 +70,7 @@ def test_end_to_end_battery_story(library):
     """Figure 1 + the battery motivation in one test: the power-constrained
     design has a lower peak and lives longer on a weak battery."""
     cdfg = build_benchmark("cosine")
-    spiky = naive_synthesis(cdfg, library)
+    spiky = naive_design(cdfg, library)
     flat = synthesize(cdfg, library, latency=15, max_power=26.0)
     assert flat.peak_power < spiky.peak_power
     battery = low_quality_battery(capacity=1e6)

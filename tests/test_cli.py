@@ -270,6 +270,15 @@ class TestCacheFlags:
         assert "0 miss(es)" in second and "0 new record(s)" in second
         assert "Power/area sweep" in second
 
+    def test_legacy_cache_dir_is_refused_with_a_migrate_hint(self, tmp_path):
+        from repro.store import LegacyStore
+
+        LegacyStore(tmp_path).put("0" * 64, {"key": "0" * 64, "record": {}})
+        with pytest.raises(SystemExit, match="repro store migrate"):
+            main(["synthesize", "-b", "hal", "-T", "17", "-P", "12",
+                  "--cache-dir", str(tmp_path)])
+        assert not (tmp_path / "store.json").exists()
+
     def test_adaptive_rejects_grid_only_flags(self):
         base = ["sweep", "-b", "hal", "-T", "17", "--adaptive"]
         with pytest.raises(SystemExit):
