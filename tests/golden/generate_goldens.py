@@ -5,8 +5,10 @@ Run from the repository root against a *known-good* tree::
     PYTHONPATH=src python tests/golden/generate_goldens.py
 
 The emitted ``golden_schedules.json`` pins the exact ``start_times`` the
-force-directed, pasap, palap and engine schedulers produce on the
-registered benchmarks and a couple of random layered graphs.  The golden
+force-directed, list, two-step, pasap, palap and engine schedulers
+produce on the registered benchmarks and a couple of random layered
+graphs (plus the list scheduler's allocation and the two-step repair
+outcome).  The golden
 tests (:mod:`tests.scheduling.test_golden_schedules`) then assert that
 performance work on the hot paths never changes a single start time.
 
@@ -31,9 +33,14 @@ from repro.library.selection import (
 )
 from repro.scheduling.constraints import PowerConstraint, TimeConstraint
 from repro.scheduling.force_directed import force_directed_schedule
+from repro.scheduling.list_scheduler import (
+    greedy_allocation_for_latency,
+    list_schedule,
+)
 from repro.scheduling.mobility import compute_windows
 from repro.scheduling.palap import palap_schedule
 from repro.scheduling.pasap import pasap_schedule
+from repro.scheduling.two_step import two_step_schedule
 from repro.suite.generators import GeneratorConfig, random_cdfg
 from repro.suite.registry import build_benchmark
 from repro.synthesis.engine import synthesize
@@ -69,6 +76,19 @@ POWER_BUDGETS: Dict[str, float] = {
     "cosine": 30.0,
     "random20": 30.0,
     "random30": 30.0,
+}
+
+
+#: Power budgets for the two-step goldens: below each graph's
+#: force-directed peak, so the repair pass has work to do (and on some
+#: graphs gives up, which is pinned too).
+TWO_STEP_BUDGETS: Dict[str, float] = {
+    "hal": 7.5,
+    "elliptic": 10.0,
+    "fir": 15.0,
+    "cosine": 17.0,
+    "random20": 6.0,
+    "random30": 10.0,
 }
 
 
@@ -114,6 +134,37 @@ def main() -> None:
 
         fds = force_directed_schedule(cdfg, delays, powers, latency)
         entry["force_directed"] = dict(fds.start_times)
+
+        # The ``list`` strategy: greedy allocation for the bound, then the
+        # list schedule under it with the bound as mobility hint.
+        module_of = {
+            name: selection[name] for name in cdfg.schedulable_operations()
+        }
+        allocation = greedy_allocation_for_latency(
+            cdfg, delays, powers, module_of, latency
+        )
+        listed = list_schedule(
+            cdfg, delays, powers, module_of, allocation, latency_hint=latency
+        )
+        entry["list"] = {
+            "allocation": dict(allocation),
+            "start_times": dict(listed.start_times),
+        }
+
+        two_step_budget = TWO_STEP_BUDGETS[case_name]
+        outcome = two_step_schedule(
+            cdfg,
+            delays,
+            powers,
+            PowerConstraint(two_step_budget),
+            TimeConstraint(latency),
+        )
+        entry["two_step"] = {
+            "power": two_step_budget,
+            "start_times": dict(outcome.schedule.start_times),
+            "met_power": outcome.met_power,
+            "moves": outcome.moves,
+        }
 
         pasap = pasap_schedule(cdfg, delays, powers, PowerConstraint(budget))
         entry["pasap"] = dict(pasap.start_times)

@@ -2,8 +2,9 @@
 
 The fixtures in this directory were generated by
 ``generate_goldens.py`` from the *pre-optimization* (seed)
-implementations of force-directed scheduling, pasap, palap, the window
-computation and the synthesis engine.  Every test here asserts that the
+implementations of force-directed scheduling, list scheduling, the
+two-step baseline, pasap, palap, the window computation and the
+synthesis engine.  Every test here asserts that the
 optimized code paths — cached CDFG topology, incremental FDS windows,
 Schedule-free pasap/palap cores, incremental locked profiles, pruned
 exact search — produce **bit-identical** start times.
@@ -30,9 +31,14 @@ from repro.library.selection import (
 from repro.scheduling.constraints import PowerConstraint, TimeConstraint
 from repro.scheduling.exact import exact_schedule, minimum_latency_under_power
 from repro.scheduling.force_directed import force_directed_schedule
+from repro.scheduling.list_scheduler import (
+    greedy_allocation_for_latency,
+    list_schedule,
+)
 from repro.scheduling.mobility import WindowCache, compute_windows
 from repro.scheduling.palap import palap_schedule
 from repro.scheduling.pasap import pasap_schedule
+from repro.scheduling.two_step import two_step_schedule
 from repro.suite.generators import GeneratorConfig, random_cdfg
 from repro.suite.registry import build_benchmark
 from repro.synthesis.engine import synthesize
@@ -76,6 +82,11 @@ def min_power_maps(cdfg, library):
     return selection_delays(selection, cdfg), selection_powers(selection, cdfg)
 
 
+def min_power_modules(cdfg, library):
+    selection = MinPowerSelection().select(cdfg, library)
+    return {name: selection[name] for name in cdfg.schedulable_operations()}
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 class TestGoldenSchedules:
     def test_force_directed_identical(self, case, library):
@@ -84,6 +95,36 @@ class TestGoldenSchedules:
         delays, powers = min_power_maps(cdfg, library)
         schedule = force_directed_schedule(cdfg, delays, powers, entry["latency"])
         assert schedule.start_times == entry["force_directed"]
+
+    def test_list_identical(self, case, library):
+        entry = GOLDEN[case]
+        cdfg = build_case(case)
+        delays, powers = min_power_maps(cdfg, library)
+        module_of = min_power_modules(cdfg, library)
+        allocation = greedy_allocation_for_latency(
+            cdfg, delays, powers, module_of, entry["latency"]
+        )
+        assert allocation == entry["list"]["allocation"]
+        schedule = list_schedule(
+            cdfg, delays, powers, module_of, allocation, latency_hint=entry["latency"]
+        )
+        assert schedule.start_times == entry["list"]["start_times"]
+
+    def test_two_step_identical(self, case, library):
+        entry = GOLDEN[case]
+        pinned = entry["two_step"]
+        cdfg = build_case(case)
+        delays, powers = min_power_maps(cdfg, library)
+        outcome = two_step_schedule(
+            cdfg,
+            delays,
+            powers,
+            PowerConstraint(pinned["power"]),
+            TimeConstraint(entry["latency"]),
+        )
+        assert outcome.schedule.start_times == pinned["start_times"]
+        assert outcome.met_power == pinned["met_power"]
+        assert outcome.moves == pinned["moves"]
 
     def test_pasap_identical(self, case, library):
         entry = GOLDEN[case]
