@@ -29,7 +29,7 @@ from ..ir.serialize import to_dict as cdfg_to_dict
 from ..library.library import FULibrary
 from ..library.module import FUModule
 from ..registries import LIBRARIES
-from ..suite.registry import BenchmarkSpec, build_benchmark, get_benchmark
+from ..suite.registry import BenchmarkSpec, get_benchmark
 
 
 class TaskError(ValueError):
@@ -144,24 +144,31 @@ def _canonical_graph(data: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-#: Canonical graph dict of each registered benchmark, keyed by its frozen
-#: registry entry: building a benchmark only to serialize it dominated the
-#: cost of a named task's content address.  Re-registering a name with
-#: ``replace=True`` stores a new entry, which misses this memo, and the
-#: replaced entry's graph goes with it.  Two threads missing at once build
-#: the same graph twice, which is harmless.
-_BENCHMARK_GRAPHS: "weakref.WeakKeyDictionary[BenchmarkSpec, Dict[str, Any]]" = (
-    weakref.WeakKeyDictionary()
-)
+#: The built CDFG and the canonical graph dict of each registered
+#: benchmark, keyed by its frozen registry entry: building a benchmark for
+#: every task resolve, or only to serialize it for a content address,
+#: dominated both costs.  Re-registering a name with ``replace=True``
+#: stores a new entry, which misses this memo, and the replaced entry's
+#: graph goes with it.  Two threads missing at once build the same graph
+#: twice, which is harmless.
+_BENCHMARKS_BUILT: "weakref.WeakKeyDictionary[BenchmarkSpec, Tuple[CDFG, Dict[str, Any]]]"
+_BENCHMARKS_BUILT = weakref.WeakKeyDictionary()
+
+
+def _built_benchmark(name: str) -> Tuple[CDFG, Dict[str, Any]]:
+    """The memoized (CDFG, canonical graph) of registered benchmark ``name``."""
+    entry = get_benchmark(name)
+    built = _BENCHMARKS_BUILT.get(entry)
+    if built is None:
+        cdfg = entry.build()
+        built = (cdfg, _canonical_graph(cdfg_to_dict(cdfg)))
+        _BENCHMARKS_BUILT[entry] = built
+    return built
 
 
 def _benchmark_graph(name: str) -> Dict[str, Any]:
     """A fresh copy of the canonical graph of registered benchmark ``name``."""
-    entry = get_benchmark(name)
-    graph = _BENCHMARK_GRAPHS.get(entry)
-    if graph is None:
-        graph = _canonical_graph(cdfg_to_dict(entry.build()))
-        _BENCHMARK_GRAPHS[entry] = graph
+    graph = _built_benchmark(name)[1]
     return {
         "name": graph["name"],
         "operations": [{**op, "attrs": dict(op["attrs"])} for op in graph["operations"]],
@@ -426,9 +433,13 @@ class SynthesisTask:
     # Resolution
     # ------------------------------------------------------------------ #
     def resolve_graph(self) -> CDFG:
-        """Materialize the CDFG (benchmark lookup or inline deserialization)."""
+        """Materialize the CDFG (benchmark lookup or inline deserialization).
+
+        A registered benchmark is built once per registry entry and
+        handed out as a copy the caller may mutate.
+        """
         if isinstance(self.graph, str):
-            return build_benchmark(self.graph)
+            return _built_benchmark(self.graph)[0].copy()
         return cdfg_from_dict(self.graph)
 
     def resolve_library(self) -> FULibrary:

@@ -333,9 +333,20 @@ class CDFG:
     # Derived graphs
     # ------------------------------------------------------------------ #
     def copy(self, name: Optional[str] = None) -> "CDFG":
-        """Deep-ish copy (operations are immutable and shared)."""
+        """Deep-ish copy (operations are immutable and shared).
+
+        The clone starts with this graph's memoized structural queries
+        (adjacency, topological order), which hold for the same
+        structure; its own mutations drop them as usual.
+        """
         clone = CDFG(name or self.name)
         clone._graph = self._graph.copy()
+        clone._pred_cache = dict(self._pred_cache)
+        clone._succ_cache = dict(self._succ_cache)
+        clone._op_cache = dict(self._op_cache)
+        clone._topo_cache = self._topo_cache
+        clone._rtopo_cache = self._rtopo_cache
+        clone._schedulable_cache = self._schedulable_cache
         return clone
 
     def reversed(self) -> "CDFG":

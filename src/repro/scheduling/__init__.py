@@ -28,6 +28,7 @@ from .list_scheduler import (
     ResourceInfeasibleError,
     greedy_allocation_for_latency,
     list_schedule,
+    list_schedule_for_latency,
     minimal_allocation,
 )
 from .force_directed import force_directed_schedule
@@ -77,6 +78,7 @@ __all__ = [
     "ResourceInfeasibleError",
     "greedy_allocation_for_latency",
     "list_schedule",
+    "list_schedule_for_latency",
     "minimal_allocation",
     "force_directed_schedule",
     "TwoStepResult",
@@ -125,23 +127,18 @@ def _alap_strategy(ctx) -> None:
 @_SCHEDULERS.register("list")
 def _list_strategy(ctx) -> None:
     """Resource-constrained list scheduling with a greedy minimal allocation."""
-    latency = ctx.require_latency("list")
     module_of = {
         name: ctx.selection[name] for name in ctx.cdfg.schedulable_operations()
     }
-    allocation = greedy_allocation_for_latency(
-        ctx.cdfg, ctx.delays, ctx.powers, module_of, latency
-    )
-    ctx.schedule = list_schedule(
+    ctx.schedule = list_schedule_for_latency(
         ctx.cdfg,
         ctx.delays,
         ctx.powers,
         module_of,
-        allocation,
-        latency_hint=latency,
+        ctx.require_latency("list"),
         label=ctx.strategy_label("list"),
     )
-    ctx.metrics["allocation"] = dict(allocation)
+    ctx.metrics["allocation"] = dict(ctx.schedule.metadata["allocation"])
 
 
 @_SCHEDULERS.register("force_directed")

@@ -6,16 +6,19 @@ operations by a priority (default: least mobility first).  It is used
 
 * as a reference point in the ablation benchmarks (resource-constrained
   vs. power-constrained scheduling), and
-* inside the two-step baseline of :mod:`repro.scheduling.two_step`.
+* as the ``list`` strategy (:func:`list_schedule_for_latency`), which
+  first finds a small allocation meeting the latency bound.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+import heapq
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..ir.analysis import alap_times, asap_times, critical_path_length
+from ..ir.analysis import alap_times, asap_times, critical_path_length, validated_delays
 from ..ir.cdfg import CDFG, CDFGError
 from ..library.module import FUModule
+from . import memo
 from .schedule import Schedule
 
 
@@ -55,8 +58,7 @@ def list_schedule(
         ResourceInfeasibleError: if some required module has a zero
             instance count, or the scheduler fails to make progress.
     """
-    schedulable = set(cdfg.schedulable_operations())
-    for name in schedulable:
+    for name in cdfg.schedulable_operations():
         module = module_of.get(name)
         if module is None:
             raise ResourceInfeasibleError(f"no module assigned to operation {name!r}")
@@ -65,66 +67,10 @@ def list_schedule(
                 f"allocation gives zero instances of {module.name!r}, "
                 f"needed by {name!r}"
             )
-
-    latency_hint = latency_hint or critical_path_length(cdfg, dict(delays))
-    try:
-        alap = alap_times(cdfg, latency_hint, dict(delays))
-    except CDFGError:
-        alap = {n: 0 for n in cdfg.operation_names()}
-    asap = asap_times(cdfg, dict(delays))
-    mobility = {n: alap.get(n, 0) - asap.get(n, 0) for n in cdfg.operation_names()}
-
-    start: Dict[str, int] = {}
-    finish: Dict[str, int] = {}
-    # running[module name] = finish times of currently executing operations
-    running: Dict[str, List[int]] = {}
-
-    unscheduled = set(cdfg.operation_names())
-    cycle = 0
-    total_cycles = sum(delays[n] for n in cdfg.operation_names())
-    horizon_guard = max(4 * total_cycles + 16, 64)
-
-    def is_ready(name: str) -> bool:
-        return all(
-            pred in finish and finish[pred] <= cycle
-            for pred in cdfg.predecessors(name)
-        )
-
-    while unscheduled:
-        if cycle > horizon_guard:
-            raise ResourceInfeasibleError(
-                "list scheduling exceeded its horizon guard; allocation too small"
-            )
-        # Release instances whose operations completed by this cycle.
-        for module_name in list(running):
-            running[module_name] = [f for f in running[module_name] if f > cycle]
-
-        progressed = True
-        while progressed:
-            # Virtual/zero-delay operations complete instantly and may
-            # unlock further ready operations within the same cycle.
-            progressed = False
-            ready = sorted(
-                (n for n in unscheduled if is_ready(n)),
-                key=lambda n: (mobility.get(n, 0), n),
-            )
-            for name in ready:
-                if name in schedulable:
-                    module = module_of[name]
-                    limit = allocation.get(module.name, 1)
-                    if len(running.get(module.name, [])) >= limit:
-                        continue
-                    start[name] = cycle
-                    finish[name] = cycle + delays[name]
-                    running.setdefault(module.name, []).append(finish[name])
-                else:
-                    start[name] = cycle
-                    finish[name] = cycle + delays[name]
-                unscheduled.discard(name)
-                if delays[name] == 0:
-                    progressed = True
-        cycle += 1
-
+    checked = validated_delays(cdfg, delays)
+    start = _list_start_times(
+        cdfg, checked, module_of, allocation, _priorities(cdfg, checked, latency_hint)
+    )
     return Schedule(
         cdfg=cdfg,
         start_times=start,
@@ -133,6 +79,98 @@ def list_schedule(
         label=label,
         metadata={"allocation": dict(allocation)},
     )
+
+
+def _priorities(
+    cdfg: CDFG, delays: Mapping[str, int], latency_hint: Optional[int]
+) -> Dict[str, Tuple[int, str]]:
+    """Each operation's ``(mobility, name)`` list priority, least first.
+
+    Mobility is ALAP minus ASAP under ``latency_hint`` (the critical path
+    when absent); a hint below the critical path counts every ALAP as 0.
+    """
+    latency_hint = latency_hint or critical_path_length(cdfg, delays)
+    try:
+        alap = alap_times(cdfg, latency_hint, delays)
+    except CDFGError:
+        alap = {n: 0 for n in cdfg.operation_names()}
+    asap = asap_times(cdfg, delays)
+    return {n: (alap.get(n, 0) - asap.get(n, 0), n) for n in cdfg.operation_names()}
+
+
+def _list_start_times(
+    cdfg: CDFG,
+    delays: Mapping[str, int],
+    module_of: Mapping[str, FUModule],
+    allocation: Mapping[str, int],
+    priority: Mapping[str, Tuple[int, str]],
+) -> Dict[str, int]:
+    """Cycle-by-cycle list scheduling over a predecessor-count ready queue.
+
+    An operation joins ``pending`` once all its predecessors are placed,
+    keyed by ``ready_at`` (their latest finish), and moves to the ready
+    ``pool`` when the cycle reaches it.  Each round places the pool's
+    operations in priority order while their module has a free instance.
+    Zero-delay operations complete instantly: placing one starts another
+    round in the same cycle, which sees the successors it released.
+    """
+    names = cdfg.operation_names()
+    module_names = {n: module_of[n].name for n in cdfg.schedulable_operations()}
+    # free[module] = idle instances; releases = (finish, module) of the
+    # operations running on the others.
+    free = {m: allocation.get(m, 1) for m in module_names.values()}
+    releases: List[Tuple[int, str]] = []
+    start: Dict[str, int] = {}
+    waiting = {n: len(cdfg.predecessors(n)) for n in names}
+    ready_at = dict.fromkeys(names, 0)
+    pending: List[Tuple[int, str]] = [(0, n) for n in names if not waiting[n]]
+    heapq.heapify(pending)
+    pool: List[str] = []
+
+    unplaced = len(names)
+    cycle = 0
+    total_cycles = sum(delays[n] for n in names)
+    horizon_guard = max(4 * total_cycles + 16, 64)
+
+    while unplaced:
+        if cycle > horizon_guard:
+            raise ResourceInfeasibleError(
+                "list scheduling exceeded its horizon guard; allocation too small"
+            )
+        # Release instances whose operations completed by this cycle.
+        while releases and releases[0][0] <= cycle:
+            free[heapq.heappop(releases)[1]] += 1
+
+        progressed = True
+        while progressed:
+            progressed = False
+            while pending and pending[0][0] <= cycle:
+                pool.append(heapq.heappop(pending)[1])
+            pool.sort(key=priority.__getitem__)
+            blocked: List[str] = []
+            for name in pool:
+                finish = cycle + delays[name]
+                module = module_names.get(name)
+                if module is not None:
+                    if not free[module]:
+                        blocked.append(name)
+                        continue
+                    free[module] -= 1
+                    heapq.heappush(releases, (finish, module))
+                start[name] = cycle
+                unplaced -= 1
+                for succ in cdfg.successors(name):
+                    if ready_at[succ] < finish:
+                        ready_at[succ] = finish
+                    waiting[succ] -= 1
+                    if not waiting[succ]:
+                        heapq.heappush(pending, (ready_at[succ], succ))
+                if finish == cycle:
+                    progressed = True
+            pool = blocked
+        cycle += 1
+
+    return start
 
 
 def minimal_allocation(
@@ -160,13 +198,15 @@ def greedy_allocation_for_latency(
 
     Starts from one instance per needed module and adds an instance of the
     module whose operations are most delayed until the list schedule fits
-    in ``latency`` cycles.  Used by the two-step baseline.
+    in ``latency`` cycles.
 
     Raises:
         ResourceInfeasibleError: if even a generous allocation cannot meet
             the bound (i.e. the bound is below the critical path).
     """
-    if latency < critical_path_length(cdfg, dict(delays)):
+    delays = validated_delays(cdfg, delays)
+    critical = critical_path_length(cdfg, delays)
+    if latency < critical:
         raise ResourceInfeasibleError(
             f"latency {latency} is below the critical path; no allocation can meet it"
         )
@@ -174,10 +214,12 @@ def greedy_allocation_for_latency(
     ops_per_module: Dict[str, int] = {}
     for name in cdfg.schedulable_operations():
         ops_per_module[module_of[name].name] = ops_per_module.get(module_of[name].name, 0) + 1
+    # Mobility does not depend on the allocation: rank once for every step.
+    priority = _priorities(cdfg, delays, critical)
 
     while True:
-        schedule = list_schedule(cdfg, delays, powers, module_of, allocation)
-        if schedule.makespan <= latency:
+        start = _list_start_times(cdfg, delays, module_of, allocation, priority)
+        if max((start[n] + delays[n] for n in start), default=0) <= latency:
             return allocation
         # Add an instance of the module with the largest (ops / instances)
         # pressure that is still below its operation count.
@@ -193,3 +235,44 @@ def greedy_allocation_for_latency(
             )
         _, module_name = max(candidates)
         allocation[module_name] += 1
+
+
+def list_schedule_for_latency(
+    cdfg: CDFG,
+    delays: Mapping[str, int],
+    powers: Mapping[str, float],
+    module_of: Mapping[str, FUModule],
+    latency: int,
+    label: str = "list",
+) -> Schedule:
+    """The ``list`` strategy: a greedy allocation for ``latency``, then
+    the list schedule under it with ``latency`` as the mobility hint.
+
+    The allocation is on ``metadata["allocation"]``.  Neither step reads
+    a power, so the pair is memoized per graph, delays, module names and
+    bound (see :mod:`repro.scheduling.memo`).
+
+    Raises:
+        ResourceInfeasibleError: as :func:`greedy_allocation_for_latency`.
+    """
+
+    def compute() -> memo.Parts:
+        allocation = greedy_allocation_for_latency(
+            cdfg, delays, powers, module_of, latency
+        )
+        schedule = list_schedule(
+            cdfg, delays, powers, module_of, allocation, latency_hint=latency
+        )
+        return allocation, schedule.start_times
+
+    checked = validated_delays(cdfg, delays)
+    key = ("list", latency, memo.signature(cdfg, checked, module_of))
+    allocation, start = memo.recall(key, compute)
+    return Schedule(
+        cdfg=cdfg,
+        start_times=start,
+        delays=dict(delays),
+        powers=dict(powers),
+        label=label,
+        metadata={"allocation": allocation},
+    )

@@ -11,7 +11,9 @@ from repro.api.task import (
     library_to_dict,
     tasks_from_json,
 )
+from repro.ir.operation import Operation, OpType
 from repro.ir.serialize import to_dict as cdfg_to_dict
+from repro.suite.registry import BENCHMARKS, build_benchmark, register_benchmark
 from repro.synthesis.engine import EngineOptions
 
 
@@ -122,6 +124,38 @@ class TestResolution:
         assert sorted(task.resolve_graph().operation_names()) == sorted(
             hal.operation_names()
         )
+
+    def test_named_graph_resolves_to_an_independent_copy(self):
+        task = SynthesisTask(graph="hal", latency=17)
+        first = task.resolve_graph()
+        assert first is not task.resolve_graph()
+        assert cdfg_to_dict(first) == cdfg_to_dict(build_benchmark("hal"))
+        first.add_operation(Operation("poisoned", OpType.ADD))
+        first.add_edge("in_x", "poisoned")
+        again = task.resolve_graph()
+        assert "poisoned" not in again
+        assert cdfg_to_dict(again) == cdfg_to_dict(build_benchmark("hal"))
+        assert again.topological_order() == build_benchmark("hal").topological_order()
+
+    def test_replacing_a_benchmark_re_resolves_it(self):
+        task = SynthesisTask(graph="memo-probe", latency=17)
+
+        def plain():
+            return build_benchmark("hal").copy(name="memo-probe")
+
+        def variant():
+            graph = plain()
+            graph.add_operation(Operation("extra", OpType.ADD))
+            graph.add_edge("in_x", "extra")
+            return graph
+
+        try:
+            register_benchmark("memo-probe", plain)
+            assert "extra" not in task.resolve_graph()
+            register_benchmark("memo-probe", variant, replace=True)
+            assert "extra" in task.resolve_graph()
+        finally:
+            BENCHMARKS.unregister("memo-probe")
 
 
 class TestLibraryDict:

@@ -28,6 +28,7 @@ from repro.library.selection import (
     selection_delays,
     selection_powers,
 )
+from repro.scheduling import memo
 from repro.scheduling.constraints import PowerConstraint, TimeConstraint
 from repro.scheduling.exact import exact_schedule, minimum_latency_under_power
 from repro.scheduling.force_directed import force_directed_schedule
@@ -70,6 +71,12 @@ def build_case(case: str):
             )
         )
     return build_benchmark(case)
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Every golden is a fresh computation, never a memo hit."""
+    memo.clear()
 
 
 @pytest.fixture(scope="module")

@@ -136,6 +136,23 @@ class TestDerivedGraphs:
         assert "o" in g
         assert "o" not in clone
 
+    def test_copy_keeps_warm_queries_apart_from_the_original(self):
+        g = build_small()
+        order = g.topological_order()
+        assert g.successors("s") == ("o",)
+        clone = g.copy()
+        assert clone.topological_order() == order
+        assert clone.schedulable_operations() == g.schedulable_operations()
+        clone.add_operation(Operation("t", OpType.ADD))
+        clone.add_edge("s", "t")
+        assert clone.successors("s") == ("o", "t")
+        assert "t" in clone.topological_order()
+        assert g.successors("s") == ("o",)
+        assert g.topological_order() == order
+        g.remove_operation("o")
+        assert clone.successors("s") == ("o", "t")
+        assert "o" in clone.topological_order()
+
     def test_reversed_flips_edges(self):
         g = build_small()
         rev = g.reversed()

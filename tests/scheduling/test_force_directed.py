@@ -86,3 +86,77 @@ class TestSelfForceReference:
         from repro.scheduling.force_directed import _self_force
 
         assert _self_force(OpType.ADD, 2, (0, 3), 1, {}, 8) == 0.0
+
+
+def random_graph(seed):
+    from repro.suite.generators import GeneratorConfig, random_cdfg
+
+    operations = 14 + 3 * seed
+    return random_cdfg(
+        GeneratorConfig(
+            operations=operations,
+            inputs=3,
+            levels=max(3, operations // 5),
+            mul_fraction=0.3,
+            sub_fraction=0.2,
+            outputs=2,
+            seed=seed,
+        )
+    )
+
+
+class TestIncrementalState:
+    """After every placement, the incremental state equals a recomputation
+    from scratch: cone-refreshed ASAP/ALAP against the full passes, the
+    dirty-type distribution against a full rebuild (exact float equality),
+    and every kept best placement against the reference force."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_full_recomputation_after_every_placement(self, seed, library):
+        from repro.ir.analysis import validated_delays
+        from repro.scheduling.force_directed import (
+            _alap_with_fixed,
+            _asap_with_fixed,
+            _distribution,
+            _ForceState,
+            _self_force,
+        )
+
+        cdfg = random_graph(seed)
+        delays, _ = maps_for(cdfg, library)
+        delays = validated_delays(cdfg, delays)
+        latency = critical_path_length(cdfg, delays) + seed % 5
+        state = _ForceState(cdfg, delays, latency)
+        placements = 0
+        while state.best_of:
+            _, name, start = min(state.best_of.values())
+            state.fix(name, start)
+            placements += 1
+
+            asap = _asap_with_fixed(cdfg, delays, state.fixed)
+            alap = _alap_with_fixed(cdfg, delays, state.fixed, latency)
+            assert state.asap == asap
+            assert state.alap == alap
+            # In graph order, as the textbook loop builds them: the
+            # order the distribution sums in is part of its bits.
+            windows = {
+                n: (max(asap[n], 0), max(alap[n], asap[n]))
+                for n in cdfg.operation_names()
+            }
+            assert state.windows == windows
+            distribution = _distribution(cdfg, windows, delays, latency)
+            assert state.distribution == distribution
+            for op, best in state.best_of.items():
+                earliest, latest = windows[op]
+                optype = cdfg.operation(op).optype
+                assert best == min(
+                    (
+                        _self_force(
+                            optype, delays[op], windows[op], c, distribution, latency
+                        ),
+                        op,
+                        c,
+                    )
+                    for c in range(earliest, latest + 1)
+                )
+        assert placements == len(cdfg.schedulable_operations())
