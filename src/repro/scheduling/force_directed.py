@@ -165,10 +165,7 @@ class _ForceState:
         self.windows = {n: self._window(n) for n in names}
         self.members = _members_by_type(cdfg, names)
         self.optypes = {n: t for t, group in self.members.items() for n in group}
-        self.distribution = {
-            t: _type_series(group, self.windows, delays, latency)
-            for t, group in self.members.items()
-        }
+        self.distribution = _distribution(cdfg, self.windows, delays, latency)
         #: Unfixed operation → its lowest-force placement.
         self.best_of = {n: self._best_placement(n) for n in names if n in self.optypes}
 
