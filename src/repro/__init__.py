@@ -30,7 +30,8 @@ The package provides:
 * :mod:`repro.serve` — the serving layer: a dependency-free HTTP
   synthesis service (persistent job queue, worker pool, shared result
   cache, certified results only) plus the blocking ``Client`` that
-  ``repro submit`` uses,
+  ``repro submit`` uses; its names are loaded on first use, so a plain
+  ``import repro`` never loads the HTTP stack,
 * :mod:`repro.lp` — a zero-dependency exact LP/ILP core (rational
   simplex + branch-and-bound) and the time-indexed ``ilp`` scheduling
   strategy: a second exact oracle without the exhaustive search's size
@@ -128,13 +129,6 @@ from .verify import (
     cross_check,
     run_fuzz,
 )
-from .serve import (
-    Client,
-    QueueFullError,
-    SynthesisService,
-    WorkerCrash,
-    start_server,
-)
 from .lp import (
     LinearProgram,
     ilp_schedule,
@@ -144,7 +138,26 @@ from .lp import (
     solve_milp,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
+
+#: Names resolved from :mod:`repro.serve` on first access (PEP 562).
+#: The serving layer registers no strategy, so deferring it leaves every
+#: registry as it is.
+_SERVE_EXPORTS = ("Client", "QueueFullError", "SynthesisService", "WorkerCrash", "start_server")
+
+
+def __getattr__(name: str):
+    if name in _SERVE_EXPORTS:
+        from . import serve
+
+        value = getattr(serve, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
 
 __all__ = [
     "CDFG",

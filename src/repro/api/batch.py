@@ -21,7 +21,6 @@ benchmark, one latency bound, many power budgets (one Figure-2 curve).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -410,6 +409,16 @@ def run_batch(
             }
             for group in groups
         ]
+        # imported here: the process-pool machinery costs a plain
+        # ``import repro`` ~30 ms and only parallel batches use it
+        from concurrent.futures import ProcessPoolExecutor
+
+        if any(task_list[group[0]].scheduler == PORTFOLIO_SCHEDULER for group in groups):
+            # A portfolio race forks its contenders through repro.serve's
+            # worker machinery.  Load it once here, before the pool forks,
+            # so that no pool worker imports it inside its first race.
+            from ..serve.workers import ProcessWorker  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             records = list(pool.map(_run_task_payload, payloads))
         # content-duplicate tasks share the one computed record (each with

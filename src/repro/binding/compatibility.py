@@ -29,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
 from ..ir.cdfg import CDFG
+from ..ir.graph import DiGraph
 from ..library.library import FULibrary
 from ..library.module import FUModule
 from ..scheduling.mobility import Window, WindowSet
@@ -60,43 +59,57 @@ class CompatiblePair:
 
 @dataclass
 class CompatibilityGraph:
-    """Power-aware compatibility relation over a set of operations."""
+    """Power-aware compatibility relation over a set of operations.
+
+    ``graph`` stores each compatible pair as two directed edges, ``a -> b``
+    and ``b -> a``, both carrying the :class:`CompatiblePair`, so an
+    operation's successors are its neighbours in the order its pairs
+    were added.
+    """
 
     cdfg: CDFG
-    graph: nx.Graph = field(default_factory=nx.Graph)
+    graph: DiGraph = field(default_factory=DiGraph)
 
     def add_operation(self, op_name: str) -> None:
         self.graph.add_node(op_name)
 
     def add_pair(self, pair: CompatiblePair) -> None:
+        for name in (pair.first, pair.second):
+            self.graph.add_node(name)
         self.graph.add_edge(pair.first, pair.second, pair=pair)
+        self.graph.add_edge(pair.second, pair.first, pair=pair)
 
     def operations(self) -> List[str]:
         return list(self.graph.nodes)
 
     def pairs(self) -> List[CompatiblePair]:
-        return [data["pair"] for _, _, data in self.graph.edges(data=True)]
+        """Every pair once, ordered by its earlier-added operation, then by insertion."""
+        done = set()
+        pairs = []
+        for name, neighbours in self.graph.succ.items():
+            pairs.extend(data["pair"] for other, data in neighbours.items() if other not in done)
+            done.add(name)
+        return pairs
 
     def compatible(self, a: str, b: str) -> bool:
         return self.graph.has_edge(a, b)
 
     def pair(self, a: str, b: str) -> Optional[CompatiblePair]:
-        if not self.graph.has_edge(a, b):
-            return None
-        return self.graph[a][b]["pair"]
+        edge = self.graph.succ.get(a, {}).get(b)
+        return None if edge is None else edge["pair"]
 
     def neighbours(self, op_name: str) -> List[str]:
-        return list(self.graph.neighbors(op_name))
+        return list(self.graph.succ[op_name])
 
     def degree(self, op_name: str) -> int:
-        return self.graph.degree(op_name)
+        return len(self.graph.succ[op_name])
 
     def density(self) -> float:
         """Edges present divided by edges possible (0 for trivial graphs)."""
-        n = self.graph.number_of_nodes()
+        n = len(self.graph)
         if n < 2:
             return 0.0
-        return 2.0 * self.graph.number_of_edges() / (n * (n - 1))
+        return self.graph.number_of_edges() / (n * (n - 1))
 
     def is_clique(self, members: Iterable[str]) -> bool:
         members = list(members)

@@ -1,19 +1,18 @@
 """Control/data-flow graph (CDFG) container.
 
-The :class:`CDFG` wraps a :class:`networkx.DiGraph` whose nodes are
-operation names and whose edges are data dependences.  It is the single
-intermediate representation shared by all schedulers, the compatibility
-graph construction, the binder and the power analysis.
+The :class:`CDFG` wraps an in-tree :class:`~repro.ir.graph.DiGraph` whose
+nodes are operation names and whose edges are data dependences.  It is
+the single intermediate representation shared by all schedulers, the
+compatibility graph construction, the binder and the power analysis.
 
 Design notes
 ------------
 * Nodes are addressed by their *name* (a string); the full
-  :class:`~repro.ir.operation.Operation` object is stored as node data.
-  This keeps networkx algorithms directly applicable and serialization
-  trivial.
-* Edges may carry an optional ``port`` attribute identifying which input
-  of the consumer the value feeds (0 = left, 1 = right), used by the
-  interconnect estimator.
+  :class:`~repro.ir.operation.Operation` object is the node's data.
+  This keeps lookups one dict access and serialization trivial.
+* Edges carry a ``multiplicity`` (how many values flow along them) and,
+  for values added with a port, the consumer input ``ports`` each value
+  feeds (0 = left, 1 = right); see :meth:`CDFG.edge_ports`.
 * The graph must remain a DAG.  :meth:`CDFG.add_edge` rejects an edge
   that would close a cycle with a search from its consumer over
   successors; the search is skipped when the consumer has no successors
@@ -32,24 +31,20 @@ memoized on the instance:
 * adjacency is cached as immutable **tuples** (one per operation),
 * the (lexicographic) topological order and its reverse are computed
   once and reused,
-* :meth:`CDFG.reversed` returns a **cached, shared** reversed graph —
-  treat it as read-only, exactly like the :attr:`CDFG.graph` property,
-* per-operation lookups (:meth:`operation`, virtual/schedulable splits)
-  hit plain dicts instead of networkx attribute views.
+* :meth:`CDFG.reversed` returns a **cached, shared** reversed graph
+  whose storage is frozen: its mutators raise :class:`CDFGError`.
 
 Every structural mutation (:meth:`add_operation`, :meth:`add_edge`,
 :meth:`remove_operation`) drops all caches, so a mutated graph never
-serves stale answers.  The only way to defeat the contract is to mutate
-the underlying networkx graph through :attr:`CDFG.graph` directly, which
-has always been documented as read-only.
+serves stale answers.  The storage itself is private; nothing outside
+:mod:`repro.ir` reaches past these methods.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-import networkx as nx
-
+from .graph import DiGraph, GraphCycleError
 from .operation import Operation, OpType
 
 
@@ -78,13 +73,12 @@ class CDFG:
         if not name:
             raise ValueError("CDFG name must be non-empty")
         self.name = name
-        self._graph = nx.DiGraph()
+        self._graph = DiGraph()
         self._init_caches()
 
     def _init_caches(self) -> None:
         self._pred_cache: Dict[str, Tuple[str, ...]] = {}
         self._succ_cache: Dict[str, Tuple[str, ...]] = {}
-        self._op_cache: Dict[str, Operation] = {}
         self._topo_cache: Optional[Tuple[str, ...]] = None
         self._rtopo_cache: Optional[Tuple[str, ...]] = None
         self._topo_pos_cache: Optional[Dict[str, int]] = None
@@ -93,15 +87,11 @@ class CDFG:
         #: Bumped on every structural mutation; lets external memoizers
         #: (e.g. ValidatedDelayMap) detect that the graph changed.
         self._version = 0
-        #: Set on graphs handed out as shared cached views (reversed());
-        #: mutating such a view would corrupt its owner's caches.
-        self._frozen = False
 
     def _invalidate(self) -> None:
         """Drop all memoized queries after a structural mutation."""
         self._pred_cache.clear()
         self._succ_cache.clear()
-        self._op_cache.clear()
         self._topo_cache = None
         self._rtopo_cache = None
         self._topo_pos_cache = None
@@ -110,7 +100,9 @@ class CDFG:
         self._version += 1
 
     def _check_mutable(self) -> None:
-        if self._frozen:
+        # Frozen storage marks a shared cached view (reversed()); mutating
+        # it would corrupt its owner's caches.
+        if self._graph.frozen:
             raise CDFGError(
                 f"{self.name!r} is a cached read-only view (a reversed graph); "
                 "mutate the original graph, or take a .copy() first"
@@ -128,7 +120,7 @@ class CDFG:
         self._check_mutable()
         if op.name in self._graph:
             raise CDFGError(f"duplicate operation name: {op.name!r}")
-        self._graph.add_node(op.name, op=op)
+        self._graph.add_node(op.name, op)
         self._invalidate()
         return op
 
@@ -158,19 +150,17 @@ class CDFG:
             raise CDFGError(f"unknown destination operation: {dst!r}")
         if src == dst:
             raise CDFGError(f"self-loop on operation {src!r} is not allowed")
-        if self._graph.has_edge(src, dst):
+        edge = self._graph.succ[src].get(dst)
+        if edge is not None:
             # Duplicate data edges are legal in expressions like ``x*x``;
             # record multiplicity so interconnect estimation stays correct.
-            self._graph[src][dst]["multiplicity"] += 1
-            if port is not None:
-                self._graph[src][dst].setdefault("ports", []).append(port)
-            self._invalidate()
-            return
-        if self._reaches(dst, src):
+            edge["multiplicity"] += 1
+        elif self._reaches(dst, src):
             raise CDFGError(f"edge {src!r} -> {dst!r} would create a cycle")
-        self._graph.add_edge(src, dst, multiplicity=1)
+        else:
+            edge = self._graph.add_edge(src, dst, multiplicity=1)
         if port is not None:
-            self._graph[src][dst]["ports"] = [port]
+            edge["ports"] = edge.get("ports", ()) + (port,)
         self._invalidate()
 
     def _reaches(self, start: str, target: str) -> bool:
@@ -204,32 +194,21 @@ class CDFG:
         return name in self._graph
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._graph)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._graph.nodes)
 
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying networkx graph (treat as read-only)."""
-        return self._graph
-
     def operation(self, name: str) -> Operation:
         """Return the :class:`Operation` stored under ``name``."""
         try:
-            return self._op_cache[name]
-        except KeyError:
-            pass
-        try:
-            op = self._graph.nodes[name]["op"]
+            return self._graph.nodes[name]
         except KeyError:
             raise CDFGError(f"unknown operation: {name!r}") from None
-        self._op_cache[name] = op
-        return op
 
     def operations(self) -> List[Operation]:
         """All operations, in insertion order."""
-        return [self._graph.nodes[n]["op"] for n in self._graph.nodes]
+        return list(self._graph.nodes.values())
 
     def operation_names(self) -> List[str]:
         """All operation names, in insertion order."""
@@ -237,11 +216,18 @@ class CDFG:
 
     def edges(self) -> List[Tuple[str, str]]:
         """All data edges as (producer, consumer) pairs."""
-        return list(self._graph.edges)
+        return [(src, dst) for src, dst, _ in self._graph.edges()]
 
     def edge_multiplicity(self, src: str, dst: str) -> int:
         """Number of distinct data values flowing along ``src -> dst``."""
-        return int(self._graph[src][dst].get("multiplicity", 1))
+        return int(self._graph.succ[src][dst].get("multiplicity", 1))
+
+    def edge_ports(self, src: str, dst: str) -> Tuple[int, ...]:
+        """Consumer input ports fed along ``src -> dst``, in the order added.
+
+        Empty when the edge was added without a port.
+        """
+        return self._graph.succ[src][dst].get("ports", ())
 
     def num_edges(self) -> int:
         return self._graph.number_of_edges()
@@ -254,7 +240,7 @@ class CDFG:
         try:
             return self._pred_cache[name]
         except KeyError:
-            value = tuple(self._graph.predecessors(name))
+            value = tuple(self._graph.pred[name])
             self._pred_cache[name] = value
             return value
 
@@ -266,26 +252,37 @@ class CDFG:
         try:
             return self._succ_cache[name]
         except KeyError:
-            value = tuple(self._graph.successors(name))
+            value = tuple(self._graph.succ[name])
             self._succ_cache[name] = value
             return value
 
     def sources(self) -> List[str]:
         """Operations with no predecessors."""
-        return [n for n in self._graph.nodes if self._graph.in_degree(n) == 0]
+        return [n for n, preds in self._graph.pred.items() if not preds]
 
     def sinks(self) -> List[str]:
         """Operations with no successors."""
-        return [n for n in self._graph.nodes if self._graph.out_degree(n) == 0]
+        return [n for n, succs in self._graph.succ.items() if not succs]
+
+    def ancestors(self, name: str) -> Set[str]:
+        """Every operation with a data path into ``name`` (itself excluded)."""
+        if name not in self._graph:
+            raise CDFGError(f"unknown operation: {name!r}")
+        return self._graph.ancestors(name)
 
     def topological_order(self) -> Tuple[str, ...]:
         """Operation names in a topological order (stable for a fixed graph).
 
-        The (lexicographic, hence deterministic) order is computed once
-        and cached until the graph mutates.
+        The order is lexicographic: a heap-ordered Kahn pass that always
+        releases the smallest ready name, so it depends only on the
+        names and edges.  It is computed once and cached until the graph
+        mutates.
         """
         if self._topo_cache is None:
-            self._topo_cache = tuple(nx.lexicographical_topological_sort(self._graph))
+            try:
+                self._topo_cache = tuple(self._graph.lexicographic_topological_order())
+            except GraphCycleError:
+                raise CDFGError(f"{self.name!r} contains a cycle") from None
         return self._topo_cache
 
     def reverse_topological_order(self) -> Tuple[str, ...]:
@@ -343,7 +340,6 @@ class CDFG:
         clone._graph = self._graph.copy()
         clone._pred_cache = dict(self._pred_cache)
         clone._succ_cache = dict(self._succ_cache)
-        clone._op_cache = dict(self._op_cache)
         clone._topo_cache = self._topo_cache
         clone._rtopo_cache = self._rtopo_cache
         clone._schedulable_cache = self._schedulable_cache
@@ -356,30 +352,27 @@ class CDFG:
         immutable :class:`Operation` objects with this graph), so it is
         read-only: its mutators raise :class:`CDFGError` (take a
         ``.copy()`` to get a mutable reversal).  palap calls this once
-        per window recomputation; rebuilding the reversal — a full deep
-        copy under networkx — used to dominate the engine's runtime.
+        per window recomputation; rebuilding the reversal every time
+        used to dominate the engine's runtime.
         """
         if self._reversed_cache is None:
             clone = CDFG(f"{self.name}.rev")
-            reversed_graph = nx.DiGraph()
-            reversed_graph.add_nodes_from(self._graph.nodes(data=True))
-            reversed_graph.add_edges_from(
-                (dst, src, dict(data))
-                for src, dst, data in self._graph.edges(data=True)
-            )
-            clone._graph = reversed_graph
-            clone._frozen = True
+            clone._graph = self._graph.reversed().freeze()
             self._reversed_cache = clone
         return self._reversed_cache
 
     def subgraph(self, names: Iterable[str], name: Optional[str] = None) -> "CDFG":
-        """Induced subgraph over ``names`` (copy, not a view)."""
+        """Induced subgraph over ``names`` (copy, not a view).
+
+        Operations keep this graph's insertion order, whatever order
+        ``names`` lists them in.
+        """
         names = list(names)
         missing = [n for n in names if n not in self._graph]
         if missing:
             raise CDFGError(f"unknown operations in subgraph request: {missing}")
         clone = CDFG(name or f"{self.name}.sub")
-        clone._graph = self._graph.subgraph(names).copy()
+        clone._graph = self._graph.subgraph(names)
         return clone
 
     # ------------------------------------------------------------------ #

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Set
 
-import networkx as nx
-
 from .cdfg import CDFG
 from .operation import Operation, OpType
 
@@ -37,7 +35,7 @@ def remove_dead_operations(cdfg: CDFG) -> CDFG:
 
     live: Set[str] = set(outputs)
     for out in outputs:
-        live |= nx.ancestors(cdfg.graph, out)
+        live |= cdfg.ancestors(out)
     live |= set(cdfg.operations_of_type(OpType.INPUT))
 
     return cdfg.subgraph(live, name=cdfg.name)

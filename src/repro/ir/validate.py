@@ -5,8 +5,8 @@ rules; violating them would make the scheduling results meaningless (or
 crash deep inside an algorithm with an obscure error).  The rules are:
 
 1. The graph is a DAG (enforced incrementally by :class:`CDFG.add_edge`,
-   re-checked here with one Kahn pass, which also catches cycles
-   injected through :attr:`CDFG.graph`).
+   re-checked here with one Kahn pass over the graph's storage, which
+   also catches cycles that bypassed ``add_edge``).
 2. Input operations have no predecessors; output operations have no
    successors and exactly one predecessor.
 3. Binary arithmetic operations (``+ - * > <``) have at most two
@@ -45,7 +45,9 @@ def collect_problems(cdfg: CDFG) -> List[str]:
     traversal from all sources at once for reachability.
     """
     problems: List[str] = []
-    graph = cdfg.graph
+    # The raw storage, not the memoized adjacency: validation must see
+    # exactly what is stored.
+    graph = cdfg._graph
     pred, succ = graph.pred, graph.succ
     names = cdfg.operation_names()
 

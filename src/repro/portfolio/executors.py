@@ -28,7 +28,6 @@ as ``error_type="WorkerCrash"`` exactly like a serve worker's death.
 
 from __future__ import annotations
 
-import multiprocessing
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -307,7 +306,9 @@ def default_executor(cache=None) -> RaceExecutor:
     gets the :class:`ProcessExecutor`; everything else falls back to the
     deterministic :class:`InlineExecutor`.
     """
-    can_fork = not multiprocessing.current_process().daemon
+    from multiprocessing import current_process
+
+    can_fork = not current_process().daemon
     if (
         cache is not None
         and can_fork

@@ -124,6 +124,22 @@ class TestRunBatch:
         )
         assert records[0].result is not None
 
+    def test_parallel_portfolio_races_with_a_cache_match_sequential(self, tmp_path):
+        from repro.explore.cache import ResultCache
+
+        tasks = [
+            SynthesisTask(
+                graph="hal", latency=17, power_budget=budget, scheduler="portfolio",
+                options={"portfolio_strategies": ["engine", "pasap"]},
+            )
+            for budget in (12.0, 15.0)
+        ]
+        sequential = run_batch(tasks)
+        parallel = run_batch(tasks, jobs=2, cache=ResultCache(tmp_path / "cache"))
+        for seq, par in zip(sequential, parallel):
+            assert _summary(seq) == _summary(par)
+            assert seq.winner == par.winner is not None
+
     def test_unknown_scheduler_surfaces_cleanly_from_workers(self):
         from repro.registries import UnknownStrategyError
 

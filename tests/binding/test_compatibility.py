@@ -82,7 +82,7 @@ class TestBuildGraph:
         loose_windows, _ = windows_for(hal, library, latency=28, power=12.0)
         tight = build_compatibility_graph(hal, library, tight_windows, delays)
         loose = build_compatibility_graph(hal, library, loose_windows, delays)
-        assert loose.graph.number_of_edges() >= tight.graph.number_of_edges()
+        assert len(loose.pairs()) >= len(tight.pairs())
 
     def test_chained_multiplications_compatible_even_at_critical_latency(self, chain, library):
         """m1 -> m2 -> m3 execute strictly one after another, so they can share

@@ -57,8 +57,8 @@ class TestBuilder:
         y = b.input("y")
         s = b.sub("s", x, y)
         g = b.cdfg
-        assert g.graph[x][s]["ports"] == [0]
-        assert g.graph[y][s]["ports"] == [1]
+        assert g.edge_ports(x, s) == (0,)
+        assert g.edge_ports(y, s) == (1,)
 
     def test_build_validates_by_default(self):
         b = CDFGBuilder()

@@ -71,11 +71,9 @@ class TestCosine:
         assert serial_cp(cosine, library) <= min(COSINE_LATENCIES)
 
     def test_every_output_depends_on_some_input(self, cosine):
-        import networkx as nx
-
         inputs = set(cosine.operations_of_type(OpType.INPUT))
         for out in cosine.operations_of_type(OpType.OUTPUT):
-            ancestors = nx.ancestors(cosine.graph, out)
+            ancestors = cosine.ancestors(out)
             assert ancestors & inputs
 
     def test_io_free_variant(self):
