@@ -138,7 +138,7 @@ from .lp import (
     solve_milp,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 #: Names resolved from :mod:`repro.serve` on first access (PEP 562).
 #: The serving layer registers no strategy, so deferring it leaves every

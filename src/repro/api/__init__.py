@@ -11,8 +11,8 @@ and the batch executor share:
   power analysis) resolving strategies through the string-keyed
   registries in :mod:`repro.registries`,
 * :func:`~repro.api.batch.run_batch` / :class:`~repro.api.batch.Sweep` —
-  a ``concurrent.futures``-based executor running many tasks in parallel
-  with structured per-task results.
+  many tasks, in parallel on :mod:`repro.exec` workers, with structured
+  per-task results.
 
 Quickstart::
 

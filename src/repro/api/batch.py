@@ -1,8 +1,8 @@
 """Parallel batch execution of synthesis tasks.
 
 ``run_batch`` fans a list of :class:`~repro.api.task.SynthesisTask` specs
-out over a :class:`concurrent.futures.ProcessPoolExecutor` and returns a
-structured :class:`TaskResult` per task, in input order.  Because tasks
+out over a :class:`~repro.exec.WorkerPool` and returns a structured
+:class:`TaskResult` per task, in input order.  Because tasks
 are plain data, shipping them to workers is trivial; workers return the
 scalar metrics (area, peak power, latency, …) so the parent never has to
 unpickle a full datapath.  With ``jobs <= 1`` everything runs in-process
@@ -409,18 +409,12 @@ def run_batch(
             }
             for group in groups
         ]
-        # imported here: the process-pool machinery costs a plain
+        # imported here: the process machinery costs a plain
         # ``import repro`` ~30 ms and only parallel batches use it
-        from concurrent.futures import ProcessPoolExecutor
+        from ..exec import WorkerPool
 
-        if any(task_list[group[0]].scheduler == PORTFOLIO_SCHEDULER for group in groups):
-            # A portfolio race forks its contenders through repro.serve's
-            # worker machinery.  Load it once here, before the pool forks,
-            # so that no pool worker imports it inside its first race.
-            from ..serve.workers import ProcessWorker  # noqa: F401
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            records = list(pool.map(_run_task_payload, payloads))
+        with WorkerPool(min(workers, len(payloads)), _run_task_payload) as pool:
+            records = pool.map(payloads)
         # content-duplicate tasks share the one computed record (each with
         # its own task rebound); they keep cached=False — the point was
         # computed in this run, not served from the cache

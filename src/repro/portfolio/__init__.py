@@ -20,8 +20,8 @@ The pieces:
   reserved option keys, :func:`portfolio_task` / :func:`with_deadline`
   and :func:`~repro.portfolio.config.pair_label`.
 * :mod:`~repro.portfolio.executors` — the injectable execution seam:
-  real process workers, inline fallback, and the scripted executor +
-  manual clock that make every race ordering deterministic in tests.
+  real process workers, and the scripted executor + manual clock that
+  make every race ordering deterministic in tests.
 * :mod:`~repro.portfolio.runner` — :class:`PortfolioRunner` /
   :func:`run_portfolio`, the decision rules and cache integration.
 
@@ -43,7 +43,6 @@ from .config import (
 )
 from .executors import (
     Contender,
-    InlineExecutor,
     ManualClock,
     ProcessExecutor,
     RaceExecutor,
@@ -65,7 +64,6 @@ __all__ = [
     "DEADLINE_ERROR",
     "DEFAULT_STRATEGIES",
     "EXECUTION_ERROR",
-    "InlineExecutor",
     "ManualClock",
     "PortfolioConfig",
     "PortfolioOutcome",

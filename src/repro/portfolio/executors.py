@@ -2,18 +2,12 @@
 
 The :class:`~repro.portfolio.runner.PortfolioRunner` never talks to
 processes, threads or clocks directly — it drives a :class:`RaceExecutor`
-(launch / poll / cancel) and an injectable monotonic clock.  Three
+(launch / poll / cancel) and an injectable monotonic clock.  Two
 executors implement the seam:
 
-* :class:`ProcessExecutor` — the real one: one
-  :class:`~repro.serve.workers.ProcessWorker` child per contender,
-  multiplexed with :func:`multiprocessing.connection.wait`, losers
-  killed mid-job.  The default whenever a readable+writable cache
-  directory is available and the current process may fork children.
-* :class:`InlineExecutor` — sequential in-process execution, one
-  contender per :meth:`poll` in launch order.  Deterministic and
-  sleep-free; the fallback inside daemonic serve workers (which may not
-  spawn children) and for cacheless calls.
+* :class:`ProcessExecutor` — the production one: one
+  :class:`~repro.exec.ProcessWorker` child per contender, multiplexed
+  with :func:`multiprocessing.connection.wait`, losers killed mid-job.
 * :class:`ScriptedExecutor` — the test seam: completions, crashes and
   clock advances replay from a script, so every race ordering — A-wins,
   B-wins, ties, deadline expiry mid-flight, crashed contenders — is
@@ -22,8 +16,8 @@ executors implement the seam:
 Outcomes use one currency throughout: the record dict a finished
 :class:`~repro.api.batch.TaskResult` serializes to, or the
 ``{"error": …, "error_type": …}`` dict of
-:func:`~repro.serve.workers.run_claimed_task` — a crashed child arrives
-as ``error_type="WorkerCrash"`` exactly like a serve worker's death.
+:func:`~repro.exec.run_claimed_task` — a crashed child arrives as
+``error_type="WorkerCrash"`` exactly like a serve worker's death.
 """
 
 from __future__ import annotations
@@ -32,12 +26,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..api.batch import run_task
 from ..api.task import SynthesisTask
 
 __all__ = [
     "Contender",
-    "InlineExecutor",
     "ManualClock",
     "ProcessExecutor",
     "RaceExecutor",
@@ -102,110 +94,57 @@ class ManualClock:
         self.now += float(seconds)
 
 
-class InlineExecutor(RaceExecutor):
-    """Sequential in-process executor: one contender per poll, launch order.
-
-    Each :meth:`poll` synthesizes the next launched-and-not-cancelled
-    contender via :func:`~repro.api.batch.run_task` with the caller-side
-    certificate gate (``verify=True``) and returns its record dict;
-    exceptions become ``{"error", "error_type"}`` outcomes.  Cancelled
-    contenders are simply never run — inline cancellation is free.
-    """
-
-    def __init__(self, cache=None) -> None:
-        self._cache = cache
-        self._queue: List[Contender] = []
-        self._cancelled: set = set()
-        #: Pair labels actually synthesized, in order (test/bench hook).
-        self.ran: List[str] = []
-        #: Pair labels cancelled before running (test/bench hook).
-        self.cancelled: List[str] = []
-
-    def launch(self, contender: Contender) -> None:
-        self._queue.append(contender)
-
-    def cancel(self, contender: Contender) -> None:
-        self._cancelled.add(contender.index)
-        self.cancelled.append(contender.label)
-
-    def poll(self, timeout: Optional[float] = None) -> Optional[Completion]:
-        while self._queue:
-            contender = self._queue.pop(0)
-            if contender.index in self._cancelled:
-                continue
-            self.ran.append(contender.label)
-            try:
-                record = run_task(
-                    contender.task, keep_result=False, cache=self._cache, verify=True
-                )
-                return (contender.index, record.to_dict())
-            except Exception as exc:  # noqa: BLE001 - outcomes, not raises
-                return (
-                    contender.index,
-                    {"error": str(exc), "error_type": type(exc).__name__},
-                )
-        return None
-
-
 class ProcessExecutor(RaceExecutor):
-    """The real race executor: one worker child per contender.
+    """The race executor: one fresh :class:`~repro.exec.ProcessWorker` per contender.
 
-    Contenders run in :class:`~repro.serve.workers.ProcessWorker`
-    children against a shared cache directory (the store-level claim
-    protocol keeps concurrent races from synthesizing one address
-    twice); :meth:`poll` multiplexes every live pipe through
-    :func:`multiprocessing.connection.wait` and returns whichever
-    contender answers first.  A child that dies mid-job surfaces as a
-    ``WorkerCrash``-typed outcome; :meth:`cancel` kills the loser's
-    child outright — its result is no longer wanted.
+    Contenders run :func:`~repro.exec.run_claimed_task` against the
+    caller's cache directory, opened with the caller's read/write flags
+    (or none).  :meth:`poll` returns whichever contender answers first; a
+    child that dies mid-job is a ``WorkerCrash``-typed outcome.
+    :meth:`cancel` kills the loser's child outright, which is what makes
+    a deadline a bound on every path.
     """
 
-    def __init__(
-        self,
-        cache_dir: str,
-        *,
-        verify: bool = True,
-        owner: str = "portfolio",
-    ) -> None:
-        self.cache_dir = str(cache_dir)
+    def __init__(self, cache=None, *, verify: bool = True, owner: str = "portfolio") -> None:
+        self.cache = cache
         self.verify = verify
         self.owner = owner
         self._active: Dict[int, Any] = {}
-        self._ready: List[Completion] = []
 
     def launch(self, contender: Contender) -> None:
-        from ..serve.workers import ProcessWorker, WorkerCrash
+        from ..exec import ClaimedTaskEntry, ProcessWorker, WorkerCrash
 
-        worker = ProcessWorker(
-            self.cache_dir,
+        root = getattr(self.cache, "root", None)
+        entry = ClaimedTaskEntry(
+            None if root is None else str(root),
+            read=getattr(self.cache, "read", False),
+            write=getattr(self.cache, "write", False),
             verify=self.verify,
-            name=f"repro-portfolio-{contender.label}",
         )
+        worker = ProcessWorker(entry, name=f"repro-portfolio-{contender.label}")
         try:
-            worker.submit(contender.task, owner=f"{self.owner}:{contender.label}")
+            worker.submit(
+                {"task": contender.task.to_dict(), "owner": f"{self.owner}:{contender.label}"}
+            )
         except WorkerCrash:
-            self._ready.append((contender.index, worker.crash_outcome()))
-            return
+            pass  # the dead pipe answers the next poll as a crash
         self._active[contender.index] = worker
 
     def poll(self, timeout: Optional[float] = None) -> Optional[Completion]:
         from multiprocessing.connection import wait
 
-        if self._ready:
-            return self._ready.pop(0)
         if not self._active:
             return None
         by_conn = {worker.connection: index for index, worker in self._active.items()}
         ready = wait(list(by_conn), timeout)
         if not ready:
             return None
-        conn = ready[0]
-        index = by_conn[conn]
+        index = by_conn[ready[0]]
         worker = self._active.pop(index)
         try:
-            outcome = conn.recv()
-        except (EOFError, OSError):
-            outcome = worker.crash_outcome()
+            outcome = worker.receive()
+        except Exception as exc:  # noqa: BLE001 - a WorkerCrash or the child's error, as an outcome
+            outcome = {"error": str(exc), "error_type": type(exc).__name__}
         else:
             worker.stop(timeout=0.2)
         return (index, outcome)
@@ -219,7 +158,6 @@ class ProcessExecutor(RaceExecutor):
         for worker in self._active.values():
             worker.kill()
         self._active.clear()
-        self._ready.clear()
 
 
 class ScriptedExecutor(RaceExecutor):
@@ -298,23 +236,5 @@ class ScriptedExecutor(RaceExecutor):
 
 
 def default_executor(cache=None) -> RaceExecutor:
-    """The production executor choice for one race.
-
-    Child processes need a shared cache directory to report through and
-    are forbidden inside daemonic processes (a serve worker child), so:
-    a readable *and* writable on-disk cache in a non-daemonic process
-    gets the :class:`ProcessExecutor`; everything else falls back to the
-    deterministic :class:`InlineExecutor`.
-    """
-    from multiprocessing import current_process
-
-    can_fork = not current_process().daemon
-    if (
-        cache is not None
-        and can_fork
-        and getattr(cache, "read", False)
-        and getattr(cache, "write", False)
-        and getattr(cache, "root", None) is not None
-    ):
-        return ProcessExecutor(str(cache.root))
-    return InlineExecutor(cache)
+    """The production executor for one race: a :class:`ProcessExecutor`."""
+    return ProcessExecutor(cache)

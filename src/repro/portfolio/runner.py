@@ -453,8 +453,8 @@ def run_portfolio(
             contenders it already holds, receives the winner's record
             under its concrete-strategy address.
         executor: The race seam; defaults to
-            :func:`~repro.portfolio.executors.default_executor` (process
-            workers when possible, inline otherwise).
+            :func:`~repro.portfolio.executors.default_executor` (one
+            process worker per contender, losers killed).
         clock: Monotonic-seconds callable; defaults to
             :func:`time.monotonic`.
 

@@ -11,7 +11,7 @@ repository a *service* rather than a toolbox:
 * :class:`~repro.serve.service.SynthesisService` — a worker tier
   executing jobs through :func:`~repro.api.batch.run_task` against one
   shared :class:`~repro.explore.cache.ResultCache`.  Workers are child
-  *processes* by default (:mod:`~repro.serve.workers`), so CPU-bound
+  *processes* (a :class:`~repro.exec.WorkerPool`), so CPU-bound
   synthesis scales past the GIL; a crashed child is detected, its job
   requeued, its slot respawned.  Single-flight is enforced at two
   levels: in-process per-key claims inside one service, and
@@ -44,11 +44,11 @@ From the command line: ``repro serve --port 8642`` and
 ``repro submit batch.json --url http://127.0.0.1:8642 --wait``.
 """
 
+from ..exec import ProcessWorker, WorkerCrash, run_claimed_task
 from .client import Client, ClientError
 from .http import ServerHandle, Submission, SynthesisServer, parse_submission, start_server
 from .queue import Job, JobQueue, QueueError, QueueFullError
 from .service import ServiceError, SynthesisService
-from .workers import ProcessWorker, WorkerCrash, run_claimed_task
 
 __all__ = [
     "Client",

@@ -7,14 +7,14 @@ workers executes them through the exact same
 :func:`~repro.api.batch.run_task` path the CLI and the batch API use,
 against one shared :class:`~repro.explore.cache.ResultCache`.
 
-Each worker slot is a parent-side dispatch thread paired with a
-long-lived child process (:class:`~repro.serve.workers.ProcessWorker`)
-that does the CPU-bound synthesis — N workers really use N cores
-instead of serializing on the GIL.  The parent keeps all
-authority: the queue, the in-process per-key claims, the counters.  A
-child that dies mid-job (SIGKILL, OOM) is detected on its pipe, the job
-is requeued (up to ``max_requeues``, then failed as a ``WorkerCrash``
-record) and the slot respawned.
+Each worker slot is a parent-side dispatch thread that hands its job
+to one :class:`~repro.exec.WorkerPool` of long-lived child processes
+doing the CPU-bound synthesis — N workers really use N cores instead of
+serializing on the GIL.  The parent keeps all authority: the queue, the
+in-process per-key claims, the counters.  A child that dies mid-job
+(SIGKILL, OOM) is detected on its pipe, the job is requeued (up to
+``max_requeues``, then failed as a ``WorkerCrash`` record) and the pool
+respawns the child.
 
 The parent answers every cache hit it can see itself, before any IPC:
 at admission (a hit is admitted already ``done`` and never takes a
@@ -69,10 +69,11 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from ..api.batch import BatchSummary, TaskResult
 from ..api.task import SynthesisTask
+from ..exec import ClaimedTaskEntry, WorkerCrash, WorkerPool
 from ..explore.cache import ResultCache
 from ..store import claims
 from .queue import Job, JobQueue, QueueError, QueueFullError
-from .workers import ProcessWorker, WorkerCrash
+
 
 class ServiceError(RuntimeError):
     """A service-level usage error (submitting to a stopped service, …)."""
@@ -147,7 +148,7 @@ class SynthesisService:
         self.verify = verify
         self.started_at: Optional[float] = None
         self._threads: List[threading.Thread] = []
-        self._children: List[Optional[ProcessWorker]] = [None] * self.workers
+        self._pool: Optional[WorkerPool] = None
         self._stop = threading.Event()
         self._guard = threading.Lock()
         # the HTTP thread and the dispatch threads all read the parent's
@@ -171,25 +172,20 @@ class SynthesisService:
         # boot hygiene: claims left by a machine-wide crash (their pids
         # possibly reused by now) must not gate their keys
         self._stale_claims_broken = claims.break_stale_claims(self.cache.root)
-        for slot in range(self.workers):
-            self._children[slot] = self._spawn_child(slot)
+        self._pool = WorkerPool(
+            self.workers,
+            ClaimedTaskEntry(str(self.cache.root), verify=self.verify),
+            name="repro-serve-child",
+        )
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop,
-                args=(index,),
                 name=f"repro-serve-worker-{index}",
                 daemon=True,
             )
             thread.start()
             self._threads.append(thread)
         return self
-
-    def _spawn_child(self, slot: int) -> ProcessWorker:
-        return ProcessWorker(
-            str(self.cache.root),
-            verify=self.verify,
-            name=f"repro-serve-child-{slot}",
-        )
 
     def __enter__(self) -> "SynthesisService":
         return self.start()
@@ -217,10 +213,9 @@ class SynthesisService:
         self._threads = [t for t in self._threads if t.is_alive()]
         if not self._threads:
             self._stop.set()
-            for slot, child in enumerate(self._children):
-                if child is not None:
-                    child.stop()
-                    self._children[slot] = None
+            if self._pool is not None:
+                self._pool.close()
+                self._pool = None
             if self._owns_temp_cache:
                 # a private temp cache dies with the service; shared /
                 # state-dir caches are durable by design and left alone
@@ -337,17 +332,17 @@ class SynthesisService:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _worker_loop(self, slot: int) -> None:
+    def _worker_loop(self) -> None:
         while not self._stop.is_set():
             job = self.queue.take(timeout=0.1)
             if job is None:
                 if self.queue.closed and self.queue.depth == 0:
                     return
                 continue
-            self._execute_in_child(slot, job)
+            self._execute_in_child(job)
 
-    def _execute_in_child(self, slot: int, job: Job) -> None:
-        """Run one job on the slot's child process, surviving its death.
+    def _execute_in_child(self, job: Job) -> None:
+        """Run one job on a pool child, surviving its death.
 
         The in-process key claim orders content-identical jobs of *this*
         service, and once a job's turn comes the parent looks it up
@@ -363,16 +358,11 @@ class SynthesisService:
             self._note_record(job, hit)
             self.queue.finish(job, record=hit.to_dict())
             return
-        child = self._children[slot]
-        if child is None or not child.alive:
-            child = self._children[slot] = self._spawn_child(slot)
         try:
-            outcome = child.run(job.task, owner=job.id)
+            outcome = self._pool.run({"task": job.task.to_dict(), "owner": job.id})
         except WorkerCrash as crash:
             with self._guard:
                 self._worker_crashes += 1
-            if not self._stop.is_set():
-                self._children[slot] = self._spawn_child(slot)
             if job.requeues < self.max_requeues:
                 self.queue.requeue(job)
                 return
@@ -530,8 +520,4 @@ class SynthesisService:
 
         What the crash tests aim their SIGKILL at.
         """
-        return [
-            child.pid
-            for child in self._children
-            if child is not None and child.alive and child.pid is not None
-        ]
+        return self._pool.pids() if self._pool is not None else []

@@ -28,7 +28,7 @@ filesystem operation:
   under it.
 
 Waiters do not block on the claim itself: the expected protocol (what
-:func:`repro.serve.workers.run_claimed_task` does) is *poll the result
+:func:`repro.exec.run_claimed_task` does) is *poll the result
 store while the claim is held* — when the holder finishes, its record
 appears in the store and the waiter returns it as a cache hit; when the
 holder dies, its claim goes stale and the waiter breaks it and takes

@@ -247,7 +247,7 @@ class TestStaleClaimHygiene:
         # a claim planted *after* boot, holder already dead: the worker's
         # acquire loop must break it inline rather than waiting forever
         from repro.explore import ResultCache
-        from repro.serve.workers import run_claimed_task
+        from repro.exec import run_claimed_task
 
         task = SynthesisTask(graph="hal", latency=17, power_budget=10.0)
         cache = ResultCache(tmp_path / "cache")

@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.api.task import SynthesisTask
+from repro.exec import WorkerPool
 from repro.explore import ResultCache
 from repro.serve.queue import DONE, FAILED, PENDING, QueueFullError
 from repro.serve.service import ServiceError, SynthesisService
-from repro.serve.workers import ProcessWorker
 from repro.verify.certificate import CertificateError, CertificateReport, Violation
 
 
@@ -51,11 +51,11 @@ class TestExecution:
         def rejecting_run_task(*_args, **_kwargs):
             raise CertificateError(report)
 
-        import repro.serve.workers as workers_module
+        import repro.exec as exec_module
 
         # patched before the service starts: worker children are forked
-        # (workers._context), so they inherit the rejecting run_task
-        monkeypatch.setattr(workers_module, "run_task", rejecting_run_task)
+        # (exec._context), so they inherit the rejecting run_task
+        monkeypatch.setattr(exec_module, "run_task", rejecting_run_task)
         with SynthesisService(tmp_path, workers=1) as service:
             (job,) = service.submit_many([task()])
             service.wait([job], timeout=10)
@@ -199,10 +199,10 @@ def warm(tmp_path, *powers):
 def childless(monkeypatch):
     """Children cannot answer: any job handed to one fails the test."""
 
-    def refuse(_self, job_task, **_kwargs):
-        raise AssertionError(f"{job_task!r} reached a worker child")
+    def refuse(_self, payload):
+        raise AssertionError(f"{payload['task']!r} reached a worker child")
 
-    monkeypatch.setattr(ProcessWorker, "run", refuse)
+    monkeypatch.setattr(WorkerPool, "run", refuse)
 
 
 class TestParentAnswersHits:
@@ -211,13 +211,13 @@ class TestParentAnswersHits:
     ):
         warm(tmp_path, 12.0)
         shipped = []
-        run = ProcessWorker.run
+        run = WorkerPool.run
 
-        def recording_run(self, job_task, **kwargs):
-            shipped.append(job_task.cache_key())
-            return run(self, job_task, **kwargs)
+        def recording_run(self, payload):
+            shipped.append(SynthesisTask.from_dict(payload["task"]).cache_key())
+            return run(self, payload)
 
-        monkeypatch.setattr(ProcessWorker, "run", recording_run)
+        monkeypatch.setattr(WorkerPool, "run", recording_run)
         with SynthesisService(tmp_path, workers=2) as service:
             # warm, cold, a duplicate of the in-flight cold one, warm again
             jobs = service.submit_many([task(12.0), task(10.0), task(10.0), task(12.0)])

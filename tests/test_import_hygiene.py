@@ -2,9 +2,9 @@
 
 The package has no runtime dependencies.  The serving layer (with
 ``http.*``) loads only when one of its names is first touched, and the
-process-pool machinery only when a parallel batch or a portfolio race
-needs it.  Each check runs in a fresh interpreter, since this test
-process has long since imported everything.
+worker substrate (``repro.exec``, ``multiprocessing``) only when a
+parallel batch or a portfolio race needs it.  Each check runs in a fresh
+interpreter, since this test process has long since imported everything.
 """
 
 from __future__ import annotations
@@ -50,7 +50,26 @@ def test_import_repro_leaves_networkx_and_the_http_stack_unloaded():
         "http.client",
         "concurrent.futures.process",
         "multiprocessing",
+        "repro.exec",
     ):
+        assert module not in loaded, module
+
+
+def test_parallel_portfolio_batch_leaves_the_serving_layer_unloaded():
+    loaded = run_python(
+        "import json, sys\n"
+        "from repro import run_batch\n"
+        "from repro.api.task import SynthesisTask\n"
+        "from repro.portfolio import portfolio_task\n"
+        "tasks = [portfolio_task('hal', latency=17, power_budget=12.0,\n"
+        "                        strategies=['engine', 'pasap']),\n"
+        "         SynthesisTask(graph='hal', latency=17, power_budget=10.0)]\n"
+        "records = run_batch(tasks, jobs=2)\n"
+        "assert records[0].winner == 'engine', records[0]\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    assert "repro.exec" in loaded
+    for module in ("repro.serve", "http.server"):
         assert module not in loaded, module
 
 
