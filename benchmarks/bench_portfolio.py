@@ -3,9 +3,10 @@
 The portfolio meta-strategy's pitch is that racing a strategy subset
 gets the *first certified* answer without committing to one strategy up
 front.  ``test_race_cold`` races every fast contender pair on one paper
-corner with no cache, so every contender launches in canonical order,
-and records the race-clock seconds until the first certified completion
-arrived (``extra_info["first_certified_s"]``).
+corner with no cache and no deadline, so the contenders run one at a
+time, in canonical order, in this process, and the race ends at the
+first certified one; it records the race-clock seconds until that
+completion arrived (``extra_info["first_certified_s"]``).
 
 Record the numbers into the repository's benchmark history with::
 
@@ -36,7 +37,7 @@ def race_task():
 
 
 def test_race_cold(benchmark, race_task):
-    """The cacheless race: contenders launch in canonical order."""
+    """The cacheless race: contenders run in canonical order until one certifies."""
     certified = []
 
     def race():

@@ -14,10 +14,13 @@ file at the repository root::
     python benchmarks/record.py --bench bench_batch_executor \
         --history BENCH_batch_executor.json          # any other bench module
 
-Each history entry records the label, UTC timestamp, git revision and a
+Each history entry records the label, UTC timestamp, git revision
+(``<rev>-dirty`` for a run on uncommitted changes over ``<rev>``) and a
 ``benchmarks`` list of ``{name, params, mean, min, max, stddev, rounds}``
-(seconds).  The file is human-diffable JSON, so the perf trajectory is
-reviewed like any other artifact.
+(seconds), plus the ``extra_info`` a benchmark reports itself (such as
+``bench_portfolio``'s ``first_certified_s``).  The file is
+human-diffable JSON, so the perf trajectory is reviewed like any other
+artifact.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
 
 
 def git_revision() -> Optional[str]:
+    """The short HEAD revision, with ``-dirty`` appended when tracked
+    files (staged or not) differ from it — a run on uncommitted code
+    then still names the revision it was made on top of."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -44,9 +50,15 @@ def git_revision() -> Optional[str]:
             text=True,
             check=True,
         )
-        return out.stdout.strip() or None
+        dirty = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--"], cwd=REPO_ROOT
+        ).returncode != 0
     except (OSError, subprocess.CalledProcessError):
         return None
+    revision = out.stdout.strip()
+    if not revision:
+        return None
+    return f"{revision}-dirty" if dirty else revision
 
 
 def run_benchmark_json(bench_module: str, pytest_args: List[str]) -> Dict:
@@ -92,6 +104,8 @@ def summarize(report: Dict) -> List[Dict]:
                 "rounds": stats.get("rounds"),
             }
         )
+        if bench.get("extra_info"):
+            summary[-1]["extra_info"] = bench["extra_info"]
     summary.sort(key=lambda entry: str(entry["name"]))
     return summary
 

@@ -1,28 +1,34 @@
 """The worker substrate: every task run off-process runs on these children.
 
 Parallel batches (:func:`~repro.api.batch.run_batch`), the serving layer
-and portfolio races (:class:`~repro.portfolio.executors.ProcessExecutor`)
-all run on :class:`ProcessWorker` children: the child calls
+and portfolio races with a deadline
+(:class:`~repro.portfolio.executors.ProcessExecutor`) all run on
+:class:`ProcessWorker` children: the child calls
 ``entry(payload)`` for every payload its parent sends, an exception
 ``entry`` raises is re-raised in the parent with its own type, and a
 child that dies mid-job surfaces as :class:`WorkerCrash`.  Killing the
 child is how a job is cancelled.  :class:`WorkerPool` is ``size``
 workers over one entry.
 
-:func:`run_claimed_task` is how serve jobs and race contenders execute:
-check the shared cache, take the **store-level claim file** for the
-task's content address (:mod:`repro.store.claims`), re-check, synthesize
-through ``run_task(verify=…)``, release.  A waiter polls the cache — the
-holder finishing *is* the wakeup — and a dead holder's claim goes stale
-and is broken, so processes sharing a cache directory synthesize each
-address exactly once and a SIGKILL never wedges a key.
+:func:`run_claimed_task` is how serve jobs and race contenders execute
+— in a child, or, for a race without a deadline, in the process that
+runs the race (:class:`~repro.portfolio.executors.InlineExecutor`):
+take the **store-level claim file** for the task's content address
+(:mod:`repro.store.claims`), check the shared cache, synthesize through
+``run_task(verify=…)``, release.  Every caller has looked the task up
+already (the serving front at admission, the race runner before it
+launches), so the claim comes first and a cold task costs one more
+lookup, not two.  A waiter polls the cache — the holder finishing *is*
+the wakeup — and a dead holder's claim goes stale and is broken, so
+processes sharing a cache directory synthesize each address exactly
+once and a SIGKILL never wedges a key.
 
 Children are forked (POSIX) with every module they need already
 imported, or spawned where fork is unavailable.  They are not daemonic,
-so a worker may fork race contenders of its own; each worker registers a
-:class:`multiprocessing.util.Finalize` that kills its child before
-multiprocessing joins non-daemonic children at interpreter exit, so an
-unstopped worker never hangs the exit.  Children ignore SIGINT —
+so a worker may fork the contenders of a deadline race; each worker
+registers a :class:`multiprocessing.util.Finalize` that kills its child
+before multiprocessing joins non-daemonic children at interpreter exit,
+so an unstopped worker never hangs the exit.  Children ignore SIGINT —
 shutdown is the parent's decision, delivered as a ``None`` sentinel.
 """
 
@@ -92,26 +98,28 @@ def run_claimed_task(
     """Execute one task under the store-level single-flight protocol.
 
     The claim needs a readable and writable ``cache``; with any other
-    cache, or none, the task just runs through ``run_task``.  Returns the
-    finished record in plain-dict form (feasible or infeasible both count
-    as outcomes); an execution *error* — a certificate rejection, a
-    genuine bug — comes back as ``{"error": …, "error_type": …}`` rather
-    than raising, because the caller may live on the far side of a pipe.
+    cache — a read- or write-only one, a bare ``get``/``put`` memo
+    without those flags — or none, the task just runs through
+    ``run_task``.  Returns the finished record in plain-dict form
+    (feasible or infeasible both count as outcomes); an execution
+    *error* — a certificate rejection, a genuine bug — comes back as
+    ``{"error": …, "error_type": …}`` rather than raising, because the
+    caller may live on the far side of a pipe.
     """
     try:
         deadline = time.monotonic() + claim_timeout
         claim = None
-        while cache is not None and cache.read and cache.write:
-            hit = cache.get(task)
-            if hit is not None:
-                return hit.to_dict()
+        while getattr(cache, "read", False) and getattr(cache, "write", False):
             claim = claims.try_acquire(cache.root, task.cache_key(), lease=lease, owner=owner)
             if claim is not None or time.monotonic() > deadline:
                 break
+            hit = cache.get(task)
+            if hit is not None:
+                return hit.to_dict()
             time.sleep(CLAIM_POLL)
         try:
-            # run_task re-checks the cache first: the claim holder we
-            # outwaited may have finished between our poll and our link
+            # run_task checks the cache first: a holder we outwaited, or
+            # one that finished before our link, has filed the record
             record = run_task(task, keep_result=False, cache=cache, verify=verify)
         finally:
             if claim is not None:

@@ -20,7 +20,8 @@ The pieces:
   reserved option keys, :func:`portfolio_task` / :func:`with_deadline`
   and :func:`~repro.portfolio.config.pair_label`.
 * :mod:`~repro.portfolio.executors` — the injectable execution seam:
-  real process workers, and the scripted executor + manual clock that
+  in-process contenders for races without a deadline, process workers
+  for deadline races, and the scripted executor + manual clock that
   make every race ordering deterministic in tests.
 * :mod:`~repro.portfolio.runner` — :class:`PortfolioRunner` /
   :func:`run_portfolio`, the decision rules and cache integration.

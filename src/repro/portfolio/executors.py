@@ -2,12 +2,18 @@
 
 The :class:`~repro.portfolio.runner.PortfolioRunner` never talks to
 processes, threads or clocks directly — it drives a :class:`RaceExecutor`
-(launch / poll / cancel) and an injectable monotonic clock.  Two
+(launch / poll / cancel) and an injectable monotonic clock.  Three
 executors implement the seam:
 
-* :class:`ProcessExecutor` — the production one: one
+* :class:`InlineExecutor` — production, for races without a deadline:
+  contenders run one at a time, in canonical order, in the caller's own
+  process.  The canonical rule makes the answer independent of timing,
+  so nothing is gained by running them side by side, and a contender
+  after the first certified one never runs at all.
+* :class:`ProcessExecutor` — production, for ``deadline_s`` races: one
   :class:`~repro.exec.ProcessWorker` child per contender, multiplexed
-  with :func:`multiprocessing.connection.wait`, losers killed mid-job.
+  with :func:`multiprocessing.connection.wait`, losers killed mid-job —
+  which is what makes the deadline a bound.
 * :class:`ScriptedExecutor` — the test seam: completions, crashes and
   clock advances replay from a script, so every race ordering — A-wins,
   B-wins, ties, deadline expiry mid-flight, crashed contenders — is
@@ -30,6 +36,7 @@ from ..api.task import SynthesisTask
 
 __all__ = [
     "Contender",
+    "InlineExecutor",
     "ManualClock",
     "ProcessExecutor",
     "RaceExecutor",
@@ -55,7 +62,7 @@ class Contender:
 class RaceExecutor(ABC):
     """The injectable execution seam of a portfolio race.
 
-    The runner launches every contender at once, then polls
+    The runner launches every contender in canonical order, then polls
     for completions until its decision rule resolves; losers get
     cancelled.  ``poll`` returns the next ``(index, outcome)`` pair, or
     ``None`` when the timeout elapsed (deadline bookkeeping) or the
@@ -64,7 +71,7 @@ class RaceExecutor(ABC):
 
     @abstractmethod
     def launch(self, contender: Contender) -> None:
-        """Start one contender (non-blocking)."""
+        """Start (or queue) one contender; never blocks on its synthesis."""
 
     @abstractmethod
     def poll(self, timeout: Optional[float] = None) -> Optional[Completion]:
@@ -94,8 +101,57 @@ class ManualClock:
         self.now += float(seconds)
 
 
-class ProcessExecutor(RaceExecutor):
-    """The race executor: one fresh :class:`~repro.exec.ProcessWorker` per contender.
+class _ContenderExecutor(RaceExecutor):
+    """What the production executors share.
+
+    Every contender runs through :func:`~repro.exec.run_claimed_task`
+    against ``cache``, with ``verify`` and the claim owner
+    ``"{owner}:{label}"``; ``_live`` maps each launched, unfinished
+    contender's index to its state (the queued contender, or its worker).
+    """
+
+    def __init__(self, cache=None, *, verify: bool = True, owner: str = "portfolio") -> None:
+        self.cache = cache
+        self.verify = verify
+        self.owner = owner
+        self._live: Dict[int, Any] = {}
+
+
+class InlineExecutor(_ContenderExecutor):
+    """The deadline-less race executor: contenders run in this process, in order.
+
+    :meth:`launch` only queues a contender; each :meth:`poll` runs the
+    lowest-index live one through :func:`~repro.exec.run_claimed_task`
+    against the caller's own cache object and returns the same record or
+    error dict a forked child would.  A cancelled contender never runs.
+    Nothing can interrupt a running contender, and a hard crash of one
+    (``os._exit``, a segfault) takes down the calling process — which is
+    why deadline races use :class:`ProcessExecutor` instead.
+    """
+
+    def launch(self, contender: Contender) -> None:
+        self._live[contender.index] = contender
+
+    def poll(self, timeout: Optional[float] = None) -> Optional[Completion]:
+        from ..exec import run_claimed_task  # import repro loads no repro.exec
+
+        if not self._live:
+            return None
+        contender = self._live.pop(min(self._live))
+        outcome = run_claimed_task(
+            contender.task,
+            self.cache,
+            verify=self.verify,
+            owner=f"{self.owner}:{contender.label}",
+        )
+        return (contender.index, outcome)
+
+    def cancel(self, contender: Contender) -> None:
+        self._live.pop(contender.index, None)
+
+
+class ProcessExecutor(_ContenderExecutor):
+    """The deadline race executor: one fresh :class:`~repro.exec.ProcessWorker` per contender.
 
     Contenders run :func:`~repro.exec.run_claimed_task` against the
     caller's cache directory, opened with the caller's read/write flags
@@ -104,12 +160,6 @@ class ProcessExecutor(RaceExecutor):
     :meth:`cancel` kills the loser's child outright, which is what makes
     a deadline a bound on every path.
     """
-
-    def __init__(self, cache=None, *, verify: bool = True, owner: str = "portfolio") -> None:
-        self.cache = cache
-        self.verify = verify
-        self.owner = owner
-        self._active: Dict[int, Any] = {}
 
     def launch(self, contender: Contender) -> None:
         from ..exec import ClaimedTaskEntry, ProcessWorker, WorkerCrash
@@ -128,19 +178,19 @@ class ProcessExecutor(RaceExecutor):
             )
         except WorkerCrash:
             pass  # the dead pipe answers the next poll as a crash
-        self._active[contender.index] = worker
+        self._live[contender.index] = worker
 
     def poll(self, timeout: Optional[float] = None) -> Optional[Completion]:
         from multiprocessing.connection import wait
 
-        if not self._active:
+        if not self._live:
             return None
-        by_conn = {worker.connection: index for index, worker in self._active.items()}
+        by_conn = {worker.connection: index for index, worker in self._live.items()}
         ready = wait(list(by_conn), timeout)
         if not ready:
             return None
         index = by_conn[ready[0]]
-        worker = self._active.pop(index)
+        worker = self._live.pop(index)
         try:
             outcome = worker.receive()
         except Exception as exc:  # noqa: BLE001 - a WorkerCrash or the child's error, as an outcome
@@ -150,14 +200,14 @@ class ProcessExecutor(RaceExecutor):
         return (index, outcome)
 
     def cancel(self, contender: Contender) -> None:
-        worker = self._active.pop(contender.index, None)
+        worker = self._live.pop(contender.index, None)
         if worker is not None:
             worker.kill()
 
     def close(self) -> None:
-        for worker in self._active.values():
+        for worker in self._live.values():
             worker.kill()
-        self._active.clear()
+        self._live.clear()
 
 
 class ScriptedExecutor(RaceExecutor):
@@ -235,6 +285,14 @@ class ScriptedExecutor(RaceExecutor):
         return None
 
 
-def default_executor(cache=None) -> RaceExecutor:
-    """The production executor for one race: a :class:`ProcessExecutor`."""
+def default_executor(cache=None, deadline_s: Optional[float] = None) -> RaceExecutor:
+    """The production executor for one race.
+
+    A race without a deadline gets an :class:`InlineExecutor`: its
+    answer does not depend on timing, so it runs in the caller's process.
+    A ``deadline_s`` race gets a :class:`ProcessExecutor`, whose children
+    can be killed when the deadline expires.
+    """
+    if deadline_s is None:
+        return InlineExecutor(cache)
     return ProcessExecutor(cache)

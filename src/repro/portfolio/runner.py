@@ -13,17 +13,22 @@ order is the configured ``portfolio_strategies`` tuple — the order hashed
 into the task's content address.  The race resolves as soon as contender
 ``i`` is certified feasible and every contender before it has a terminal
 outcome; contenders after the earliest certified one are cancelled (their
-result can no longer matter).  Every contender launches at once, in
-canonical order.  Parallelism, completion order and crashes of later
-contenders therefore change only how *fast* the answer arrives, never
-which answer it is — the property that keeps a content-addressed cache
-coherent.
+result can no longer matter).  Every contender launches in canonical
+order.  Parallelism, completion order and crashes of later contenders
+therefore change only how *fast* the answer arrives, never which answer
+it is — the property that keeps a content-addressed cache coherent, and
+the reason a race without a deadline runs its contenders one at a time
+in the caller's process
+(:class:`~repro.portfolio.executors.InlineExecutor`): the first
+certified one ends the race before any later one starts.
 
 ``deadline_s`` switches the rule: collect certified results until the
 deadline (or until everyone is terminal) and return the best-area one,
-ties broken by canonical index.  A completion that arrives after the
-deadline on the race clock is never a winner, even when an executor
-that cannot interrupt its contenders delivers it.  A deadline that
+ties broken by canonical index.  Its contenders run side by side in
+forked children (:class:`~repro.portfolio.executors.ProcessExecutor`),
+which the runner kills when the deadline expires.  A completion that
+arrives after the deadline on the race clock is never a winner, even
+when an executor that cannot interrupt its contenders delivers it.  A deadline that
 expires with nothing certified yields an infeasible
 ``PortfolioDeadlineError`` record, which is never cached — it reflects
 the deadline, not the spec.
@@ -34,6 +39,11 @@ canonical-first contender's ``error_type`` and is cacheable; if any
 contender *errored* (``WorkerCrash`` included), the aggregate is a
 non-cacheable ``PortfolioExecutionError`` — a crash is missing evidence,
 not evidence of infeasibility.
+
+Each contender files its own record under its concrete-strategy address
+as it finishes (it runs through :func:`~repro.api.batch.run_task` against
+the race's cache), so a later plain run of the winning pair is warm; the
+runner itself writes nothing to the cache.
 """
 
 from __future__ import annotations
@@ -188,7 +198,9 @@ class PortfolioRunner:
         self.cache = cache
         self.config = PortfolioConfig.from_task(task)
         self.clock = clock if clock is not None else time.monotonic
-        self.executor = executor if executor is not None else default_executor(cache)
+        if executor is None:
+            executor = default_executor(cache, self.config.deadline_s)
+        self.executor = executor
         pairs = self.config.resolved_pairs(task.binder)
         _, engine_overrides = PortfolioConfig.from_task_options(task.options)
         self.slots: List[ContenderResult] = []
@@ -347,19 +359,6 @@ class PortfolioRunner:
                 **{name: outcome.get(name) for name in _COPIED_FIELDS if name != "backtracks"},
                 backtracks=int(outcome.get("backtracks") or 0),
             )
-            # File the winner under its own concrete-strategy address too
-            # (idempotent for executors that already cached it) so warm
-            # lookups stay strategy-exact.
-            if (
-                self.cache is not None
-                and getattr(self.cache, "write", False)
-                and not winner.from_cache
-                and not outcome.get("cached")
-            ):
-                self.cache.put(
-                    winner.contender.task,
-                    _contender_record(winner.contender.task, outcome),
-                )
             return PortfolioOutcome(
                 record=record,
                 winner=winner.contender.label,
@@ -421,23 +420,6 @@ class PortfolioRunner:
         )
 
 
-def _contender_record(task: SynthesisTask, outcome: Dict[str, Any]) -> TaskResult:
-    """Rebuild a :class:`TaskResult` for one contender from its outcome dict."""
-    return TaskResult(
-        task=task,
-        feasible=bool(outcome.get("feasible")),
-        area=outcome.get("area"),
-        fu_area=outcome.get("fu_area"),
-        peak_power=outcome.get("peak_power"),
-        latency=outcome.get("latency"),
-        registers=outcome.get("registers"),
-        backtracks=int(outcome.get("backtracks") or 0),
-        error=outcome.get("error"),
-        error_type=outcome.get("error_type"),
-        elapsed=float(outcome.get("elapsed") or 0.0),
-    )
-
-
 def run_portfolio(
     task: SynthesisTask,
     *,
@@ -450,11 +432,13 @@ def run_portfolio(
     Args:
         task: A ``scheduler="portfolio"`` task.
         cache: A :class:`~repro.explore.cache.ResultCache`.  Pre-answers
-            contenders it already holds, receives the winner's record
-            under its concrete-strategy address.
+            contenders it already holds; each contender that runs files
+            its record there under its concrete-strategy address.
         executor: The race seam; defaults to
-            :func:`~repro.portfolio.executors.default_executor` (one
-            process worker per contender, losers killed).
+            :func:`~repro.portfolio.executors.default_executor`: without
+            ``deadline_s`` the contenders run one at a time, in canonical
+            order, in this process, and stop at the first certified one;
+            with it, one process worker per contender, losers killed.
         clock: Monotonic-seconds callable; defaults to
             :func:`time.monotonic`.
 

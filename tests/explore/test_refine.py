@@ -154,6 +154,32 @@ class TestRefinerShape:
         assert sweep.synthesis_calls > sweep.probes  # bisection cost included
 
 
+class TestPortfolioRefiner:
+    def test_cacheless_portfolio_sweep_matches_a_cached_one(
+        self, hal, library, tmp_path
+    ):
+        """Without a cache the probes go through an in-process memo that
+        has no read/write flags; the races must run their contenders
+        against it, not turn every probe into an execution error."""
+        cacheless = adaptive_power_sweep(
+            hal, library, 17, p_max=40.0, resolution=4.0, portfolio=True
+        )
+        cached = adaptive_power_sweep(
+            hal, library, 17, p_max=40.0, resolution=4.0, portfolio=True,
+            cache=ResultCache(tmp_path),
+        )
+        engine = adaptive_power_sweep(hal, library, 17, p_max=40.0, resolution=4.0)
+
+        def frontier(sweep):
+            return [(p.power_budget, p.feasible, p.area) for p in sweep.points]
+
+        assert cacheless.points and all(p.feasible for p in cacheless.points)
+        assert frontier(cacheless) == frontier(cached)
+        # engine is the canonical-first contender: where it is feasible
+        # it wins, so the portfolio frontier is the engine's
+        assert frontier(cacheless) == frontier(engine)
+
+
 class TestRefinerCaching:
     def test_refined_rerun_is_free(self, hal, library, tmp_path):
         cache = ResultCache(tmp_path)

@@ -198,8 +198,8 @@ class TestRunTaskDispatch:
         assert hit.area == cold.area
 
     def test_race_directory_is_columnar(self, tmp_path):
-        """Contender children write the race's cache directory in the
-        one columnar layout."""
+        """Contenders write the race's cache directory in the one
+        columnar layout."""
         cache = ResultCache(tmp_path / "cache")
         record = run_task(self.small_task(), keep_result=False, cache=cache)
         assert record.feasible is True

@@ -69,9 +69,10 @@ def race(script, *, task=None, cache=None):
 class LateExecutor(ScriptedExecutor):
     """Delivers each completion only after running ``lag`` seconds.
 
-    Models the inline executor: it cannot interrupt a contender, so a
-    poll returns when the synthesis ends, however long after the
-    race's deadline that is.
+    Models an executor that cannot interrupt a contender: a poll returns
+    when the synthesis ends, however long after the race's deadline that
+    is.  Production deadline races fork killable contenders; the runner
+    must still refuse a late completion from any executor.
     """
 
     def __init__(self, script, lag):
