@@ -20,6 +20,7 @@ benchmark, one latency bound, many power budgets (one Figure-2 curve).
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
@@ -29,6 +30,7 @@ from ..scheduling.exact import ExactSchedulerError
 from ..scheduling.list_scheduler import ResourceInfeasibleError
 from ..scheduling.pasap import PowerInfeasibleError
 from ..scheduling.schedule import ScheduleError
+from ..store import claims
 from ..synthesis.result import SynthesisError, SynthesisResult
 from .pipeline import Pipeline
 from .task import PORTFOLIO_SCHEDULER, SynthesisTask, TaskError
@@ -231,6 +233,16 @@ def run_task(
     lookup.  Callers holding live objects cache through an inline task
     instead (what :func:`repro.synthesis.explore.probe_point` does).
 
+    With a readable *and* writable cache a miss is single-flight across
+    processes: the task is synthesized under the store claim on its
+    content address (:mod:`repro.store.claims`), and a caller that finds
+    the claim held polls the store (uncounted ``peek``) until the
+    holder's record appears — returned as a cache hit — or the holder
+    dies and its claim is broken.  Batches, sweeps, serve children and
+    race contenders sharing a cache directory therefore synthesize each
+    address once.  A read- or write-only cache, or a bare
+    ``get``/``put`` memo, takes no claim.
+
     A ``scheduler="portfolio"`` task dispatches to
     :func:`repro.portfolio.run_portfolio` after the cache check: the
     contender subset races, each contender individually certificate-gated
@@ -255,10 +267,46 @@ def run_task(
     use_cache = (
         cache is not None and pipeline is None and cdfg is None and library is None
     )
+    claim = None
     if use_cache:
         hit = cache.get(task)
+        if hit is None and getattr(cache, "read", False) and getattr(cache, "write", False):
+            # single-flight: take the store claim, or wait out its holder;
+            # lookups from here on are uncounted (the get above was this
+            # task's one lookup)
+            owner = f"pid-{os.getpid()}"
+            deadline = time.monotonic() + claims.CLAIM_TIMEOUT
+            while True:
+                claim = claims.try_acquire(cache.root, task.cache_key(), owner=owner)
+                # past the deadline, computing redundantly beats waiting on
+                if claim is not None or time.monotonic() > deadline:
+                    break
+                time.sleep(claims.CLAIM_POLL)
+                hit = cache.peek(task)
+                if hit is not None:
+                    return hit
+            # the holder may have filed the record between our miss and the acquire
+            hit = cache.peek(task)
         if hit is not None:
+            if claim is not None:
+                claim.release()
             return hit
+    try:
+        record, cacheable = _synthesize(task, keep_result, pipeline, cdfg, library, cache, verify)
+        if use_cache and cacheable:
+            cache.put(task, record)
+    finally:
+        if claim is not None:
+            claim.release()
+    return record
+
+
+def _synthesize(task, keep_result, pipeline, cdfg, library, cache, verify):
+    """Compute one record; returns ``(record, cacheable)``.
+
+    Looks nothing up for ``task`` itself; a portfolio race hands ``cache``
+    to its contenders, which each go through :func:`run_task`.
+    """
     if task.scheduler == PORTFOLIO_SCHEDULER:
         if pipeline is not None or cdfg is not None or library is not None:
             raise TaskError(
@@ -271,9 +319,7 @@ def run_task(
         outcome = run_portfolio(task, cache=cache)
         # deadline expiries and crash-tainted infeasibles are not verdicts
         # on the spec; caching them would poison honest lookups
-        if use_cache and outcome.cacheable:
-            cache.put(task, outcome.record)
-        return outcome.record
+        return outcome.record, outcome.cacheable
     pipeline = pipeline or Pipeline.default()
     started = time.perf_counter()
     try:
@@ -307,9 +353,7 @@ def run_task(
             elapsed=time.perf_counter() - started,
             result=result if keep_result else None,
         )
-    if use_cache:
-        cache.put(task, record)
-    return record
+    return record, True
 
 
 def _run_task_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -354,7 +398,10 @@ def run_batch(
             task.  In parallel mode the parent answers what it can before
             spawning workers, ships only the misses, and the workers write
             each computed point straight to the shared directory — a fully
-            warm batch never starts the process pool at all.
+            warm batch never starts the process pool at all.  Duplicate
+            specs, like any two processes sharing a readable and writable
+            cache, synthesize once under the store claim (see
+            :func:`run_task`); the twin comes back ``cached=True``.
 
     Returns:
         A :class:`BatchResults` list — one :class:`TaskResult` per task,
@@ -391,23 +438,14 @@ def run_batch(
             else:
                 pending.append(index)
     if pending:
-        if cache is not None:
-            # content-identical tasks synthesize once; the others share
-            # the record (with their own task rebound, like a cache hit)
-            by_key: Dict[str, List[int]] = {}
-            for index in pending:
-                by_key.setdefault(task_list[index].cache_key(), []).append(index)
-            groups = list(by_key.values())
-        else:
-            groups = [[index] for index in pending]
         cache_dir = str(cache.root) if cache is not None and cache.write else None
         payloads = [
             {
-                "task": task_list[group[0]].to_dict(),
+                "task": task_list[index].to_dict(),
                 "cache_dir": cache_dir,
                 "cache_read": cache.read if cache is not None else True,
             }
-            for group in groups
+            for index in pending
         ]
         # imported here: the process machinery costs a plain
         # ``import repro`` ~30 ms and only parallel batches use it
@@ -415,14 +453,11 @@ def run_batch(
 
         with WorkerPool(min(workers, len(payloads)), _run_task_payload) as pool:
             records = pool.map(payloads)
-        # content-duplicate tasks share the one computed record (each with
-        # its own task rebound); they keep cached=False — the point was
-        # computed in this run, not served from the cache
-        for group, record in zip(groups, records):
-            for index in group:
-                result = TaskResult.from_dict(record)
-                result.task = task_list[index]
-                results[index] = result
+        for index, record in zip(pending, records):
+            result = TaskResult.from_dict(record)
+            # the worker rebuilt the task from its dict; hand back the caller's
+            result.task = task_list[index]
+            results[index] = result
     return BatchResults(
         (record for record in results if record is not None),
         elapsed=time.perf_counter() - started,

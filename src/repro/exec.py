@@ -12,16 +12,16 @@ workers over one entry.
 
 :func:`run_claimed_task` is how serve jobs and race contenders execute
 — in a child, or, for a race without a deadline, in the process that
-runs the race (:class:`~repro.portfolio.executors.InlineExecutor`):
-take the **store-level claim file** for the task's content address
-(:mod:`repro.store.claims`), check the shared cache, synthesize through
-``run_task(verify=…)``, release.  Every caller has looked the task up
-already (the serving front at admission, the race runner before it
-launches), so the claim comes first and a cold task costs one more
-lookup, not two.  A waiter polls the cache — the holder finishing *is*
-the wakeup — and a dead holder's claim goes stale and is broken, so
-processes sharing a cache directory synthesize each address exactly
-once and a SIGKILL never wedges a key.
+runs the race (:class:`~repro.portfolio.executors.InlineExecutor`): it
+calls :func:`~repro.api.batch.run_task` and turns the outcome, or the
+error, into a dict that can cross a pipe.  The single-flight lives in
+``run_task`` itself, for every caller alike: with a readable and
+writable cache, a miss is synthesized under the **store-level claim
+file** for the task's content address (:mod:`repro.store.claims`), a
+waiter polls the cache until the holder's record appears, and a dead
+holder's claim goes stale and is broken — so processes sharing a cache
+directory synthesize each address once and a SIGKILL never wedges a
+key.
 
 Children are forked (POSIX) with every module they need already
 imported, or spawned where fork is unavailable.  They are not daemonic,
@@ -40,14 +40,12 @@ import pickle
 import queue
 import signal
 import threading
-import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .api.batch import run_task
 from .api.task import SynthesisTask
 from .explore.cache import ResultCache
-from .store import claims
 
 # Imported for the children's benefit under the spawn start method and
 # to keep fork-time import-lock hazards away: everything a worker child
@@ -55,13 +53,6 @@ from .store import claims
 from .verify import certificate as _certificate  # noqa: F401
 
 __all__ = ["ClaimedTaskEntry", "ProcessWorker", "WorkerCrash", "WorkerPool", "run_claimed_task"]
-
-#: Seconds between cache polls while another process holds the claim.
-CLAIM_POLL = 0.02
-
-#: Default ceiling on waiting for someone else's claim before computing
-#: redundantly anyway (the cache keeps that merely wasteful, not wrong).
-CLAIM_TIMEOUT = 600.0
 
 #: A worker entry: one payload in, one picklable outcome out.
 Entry = Callable[[Any], Any]
@@ -87,50 +78,25 @@ class WorkerCrash(RuntimeError):
 
 
 def run_claimed_task(
-    task: SynthesisTask,
-    cache: Optional[ResultCache],
-    *,
-    verify: bool = True,
-    owner: str = "",
-    lease: float = claims.DEFAULT_LEASE,
-    claim_timeout: float = CLAIM_TIMEOUT,
+    task: SynthesisTask, cache: Optional[ResultCache], *, verify: bool = True
 ) -> Dict[str, Any]:
-    """Execute one task under the store-level single-flight protocol.
+    """Run one task through ``run_task`` and return a plain dict.
 
-    The claim needs a readable and writable ``cache``; with any other
-    cache — a read- or write-only one, a bare ``get``/``put`` memo
-    without those flags — or none, the task just runs through
-    ``run_task``.  Returns the finished record in plain-dict form
-    (feasible or infeasible both count as outcomes); an execution
+    ``run_task`` does the single-flight (the store claim, for a readable
+    and writable ``cache``).  Returns the finished record in plain-dict
+    form (feasible or infeasible both count as outcomes); an execution
     *error* — a certificate rejection, a genuine bug — comes back as
     ``{"error": …, "error_type": …}`` rather than raising, because the
     caller may live on the far side of a pipe.
     """
     try:
-        deadline = time.monotonic() + claim_timeout
-        claim = None
-        while getattr(cache, "read", False) and getattr(cache, "write", False):
-            claim = claims.try_acquire(cache.root, task.cache_key(), lease=lease, owner=owner)
-            if claim is not None or time.monotonic() > deadline:
-                break
-            hit = cache.get(task)
-            if hit is not None:
-                return hit.to_dict()
-            time.sleep(CLAIM_POLL)
-        try:
-            # run_task checks the cache first: a holder we outwaited, or
-            # one that finished before our link, has filed the record
-            record = run_task(task, keep_result=False, cache=cache, verify=verify)
-        finally:
-            if claim is not None:
-                claim.release()
-        return record.to_dict()
+        return run_task(task, keep_result=False, cache=cache, verify=verify).to_dict()
     except Exception as exc:  # noqa: BLE001 - shipped across the pipe
         return {"error": str(exc), "error_type": type(exc).__name__}
 
 
 class ClaimedTaskEntry:
-    """Entry running ``{"task", "owner"}`` payloads through :func:`run_claimed_task`.
+    """Entry running ``{"task": …}`` payloads through :func:`run_claimed_task`.
 
     The child opens ``cache_dir`` with the ``read``/``write`` flags on its
     first payload and keeps it; ``cache_dir=None`` runs cacheless.
@@ -154,10 +120,7 @@ class ClaimedTaskEntry:
         if self._cache is None and self.cache_dir is not None:
             self._cache = ResultCache(self.cache_dir, read=self.read, write=self.write)
         return run_claimed_task(
-            SynthesisTask.from_dict(payload["task"]),
-            self._cache,
-            verify=self.verify,
-            owner=payload.get("owner") or f"pid-{os.getpid()}",
+            SynthesisTask.from_dict(payload["task"]), self._cache, verify=self.verify
         )
 
 

@@ -105,15 +105,14 @@ class _ContenderExecutor(RaceExecutor):
     """What the production executors share.
 
     Every contender runs through :func:`~repro.exec.run_claimed_task`
-    against ``cache``, with ``verify`` and the claim owner
-    ``"{owner}:{label}"``; ``_live`` maps each launched, unfinished
-    contender's index to its state (the queued contender, or its worker).
+    against ``cache``, with ``verify``; ``_live`` maps each launched,
+    unfinished contender's index to its state (the queued contender, or
+    its worker).
     """
 
-    def __init__(self, cache=None, *, verify: bool = True, owner: str = "portfolio") -> None:
+    def __init__(self, cache=None, *, verify: bool = True) -> None:
         self.cache = cache
         self.verify = verify
-        self.owner = owner
         self._live: Dict[int, Any] = {}
 
 
@@ -138,12 +137,7 @@ class InlineExecutor(_ContenderExecutor):
         if not self._live:
             return None
         contender = self._live.pop(min(self._live))
-        outcome = run_claimed_task(
-            contender.task,
-            self.cache,
-            verify=self.verify,
-            owner=f"{self.owner}:{contender.label}",
-        )
+        outcome = run_claimed_task(contender.task, self.cache, verify=self.verify)
         return (contender.index, outcome)
 
     def cancel(self, contender: Contender) -> None:
@@ -173,9 +167,7 @@ class ProcessExecutor(_ContenderExecutor):
         )
         worker = ProcessWorker(entry, name=f"repro-portfolio-{contender.label}")
         try:
-            worker.submit(
-                {"task": contender.task.to_dict(), "owner": f"{self.owner}:{contender.label}"}
-            )
+            worker.submit({"task": contender.task.to_dict()})
         except WorkerCrash:
             pass  # the dead pipe answers the next poll as a crash
         self._live[contender.index] = worker

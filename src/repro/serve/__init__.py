@@ -13,10 +13,10 @@ repository a *service* rather than a toolbox:
   shared :class:`~repro.explore.cache.ResultCache`.  Workers are child
   *processes* (a :class:`~repro.exec.WorkerPool`), so CPU-bound
   synthesis scales past the GIL; a crashed child is detected, its job
-  requeued, its slot respawned.  Single-flight is enforced at two
-  levels: in-process per-key claims inside one service, and
-  store-level claim files (:mod:`repro.store.claims`) across *any*
-  processes sharing a cache directory,
+  requeued, its slot respawned.  Single-flight is the store-level
+  claim file (:mod:`repro.store.claims`) that
+  :func:`~repro.api.batch.run_task` takes, the same rule within one
+  service and across *any* processes sharing a cache directory,
 * :class:`~repro.serve.http.SynthesisServer` / :func:`start_server` —
   a selector-based single-threaded JSON front (``POST /tasks``,
   ``GET /jobs/<id>``, ``GET /results/<key>``, ``GET /healthz``,

@@ -27,16 +27,9 @@ the bound, :meth:`submit` raises :class:`QueueFullError` carrying a
 ``retry_after`` hint — what the HTTP front turns into ``429`` +
 ``Retry-After`` backpressure instead of an unbounded in-memory backlog.
 
-The queue also provides the in-process single-flight primitive the
-service builds dedup on: :meth:`JobQueue.take` registers a
-per-content-address claim under the same lock that serializes dequeues,
-and :meth:`JobQueue.wait_for_key_turn` blocks a job until every
-earlier-taken job with the same key has finished.  Because claim order
-is take order, "the second client's identical batch is answered
-entirely from cache" is a guarantee, not a race.  (The *cross-process*
-twin of this primitive — two service processes sharing one cache
-directory — lives in :mod:`repro.store.claims` and is enforced by the
-workers, not the queue.)
+The queue does no deduplication of its own: content-identical jobs are
+single-flighted where every synthesis is, by the store claim
+:func:`~repro.api.batch.run_task` takes (:mod:`repro.store.claims`).
 """
 
 from __future__ import annotations
@@ -175,11 +168,9 @@ class JobQueue:
             raise QueueError(f"max_depth must be >= 1, got {max_depth}")
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._finished = threading.Condition(self._lock)
         self._jobs: Dict[str, Job] = {}
         #: Sorted (-priority, seq, job_id) triples; index 0 dequeues next.
         self._pending: List[tuple] = []
-        self._taken_keys: Dict[str, List[str]] = {}
         self._seq = 0
         self._closed = False
         if self.state_dir is not None:
@@ -402,11 +393,6 @@ class JobQueue:
             job = self._jobs[self._pending.pop(0)[2]]
             job.state = RUNNING
             job.started_at = time.time()
-            # registering the key claim under the same lock that serializes
-            # take() is what makes single-flight deterministic: a duplicate
-            # dequeued later always sees this job ahead of it in the claim
-            # list, never a half-registered leader
-            self._taken_keys.setdefault(job.key, []).append(job.id)
             self._append({"event": "start", "id": job.id, "ts": job.started_at})
             return job
 
@@ -419,7 +405,7 @@ class JobQueue:
         error_type: Optional[str] = None,
     ) -> None:
         """Move a running job to ``done`` (with its record) or ``failed``."""
-        with self._finished:
+        with self._lock:
             if job.state != RUNNING:
                 raise QueueError(f"cannot finish job {job.id} in state {job.state!r}")
             # publish the payload before the state flip: HTTP threads read
@@ -430,9 +416,7 @@ class JobQueue:
             job.error = error
             job.error_type = error_type
             job.state = FAILED if error is not None else DONE
-            self._release_key(job)
             self._append(self._finish_event(job))
-            self._finished.notify_all()
 
     @staticmethod
     def _finish_event(job: Job) -> Dict[str, Any]:
@@ -445,36 +429,6 @@ class JobQueue:
             "error": job.error,
             "error_type": job.error_type,
         }
-
-    def _release_key(self, job: Job) -> None:
-        """Drop a job's key claim (caller holds the lock)."""
-        claims = self._taken_keys.get(job.key)
-        if claims and job.id in claims:
-            claims.remove(job.id)
-            if not claims:
-                del self._taken_keys[job.key]
-
-    def wait_for_key_turn(self, job: Job, timeout: Optional[float] = None) -> bool:
-        """Block until no earlier-taken job with the same key is running.
-
-        Key claims are registered in :meth:`take` order under the queue
-        lock, so this is the deterministic single-flight primitive: of N
-        content-identical jobs, the first taken computes while every
-        later one waits here, then is answered from the cache (the
-        service's lookup after this turn).  Returns False on timeout
-        (the caller may proceed anyway; the result cache keeps it merely
-        redundant, not wrong).
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._finished:
-            while True:
-                claims = self._taken_keys.get(job.key, [])
-                if not claims or claims[0] == job.id:
-                    return True
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._finished.wait(remaining if remaining is not None else 0.5)
 
     def requeue(self, job: Job) -> None:
         """Put a running job back into the queue (drain/crash recovery).
@@ -489,11 +443,9 @@ class JobQueue:
             job.state = PENDING
             job.started_at = None
             job.requeues += 1
-            self._release_key(job)
             bisect.insort(self._pending, (-job.priority, job.seq, job.id))
             self._append({"event": "requeue", "id": job.id, "ts": time.time()})
             self._not_empty.notify()
-            self._finished.notify_all()
 
     # ------------------------------------------------------------------ #
     # Introspection

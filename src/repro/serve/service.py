@@ -10,33 +10,31 @@ against one shared :class:`~repro.explore.cache.ResultCache`.
 Each worker slot is a parent-side dispatch thread that hands its job
 to one :class:`~repro.exec.WorkerPool` of long-lived child processes
 doing the CPU-bound synthesis — N workers really use N cores instead of
-serializing on the GIL.  The parent keeps all authority: the queue, the
-in-process per-key claims, the counters.  A child that dies mid-job
+serializing on the GIL.  The parent keeps all authority: the queue and
+the counters.  A child that dies mid-job
 (SIGKILL, OOM) is detected on its pipe, the job is requeued (up to
 ``max_requeues``, then failed as a ``WorkerCrash`` record) and the pool
 respawns the child.
 
 The parent answers every cache hit it can see itself, before any IPC:
 at admission (a hit is admitted already ``done`` and never takes a
-queue slot, a dispatch thread or a child) and again at dequeue, after
-the job's key turn (a job that waited behind an in-flight copy of its
-own key).  Children only ever receive jobs the parent saw as misses;
-their own lookup stays, because the store-level claim protocol needs it
-across service processes.  Whichever side answers, a finished job
-counts exactly one cache lookup in ``/stats``.
+queue slot, a dispatch thread or a child) and again at dequeue (a
+replayed job whose work reached the cache before a crash, or a
+duplicate whose twin finished meanwhile).  Children only ever receive
+jobs the parent saw as misses; their own lookup stays, because the
+store-level claim protocol needs it.  Whichever side answers, a
+finished job counts exactly one cache lookup in ``/stats``.
 
 Three properties fall out of building on the existing stack:
 
-* **Single-synthesis semantics, cross-process.**  Content-identical
-  jobs within one service execute strictly in dequeue order (the
-  queue's per-content-address claim,
-  :meth:`~repro.serve.queue.JobQueue.wait_for_key_turn`); across
-  *service processes* sharing a cache directory, workers take the
-  store-level claim file for the address (:mod:`repro.store.claims`)
-  before synthesizing and poll the cache while someone else holds it.
-  Identical requests — one client or many, one service or many —
-  synthesize exactly once; every other copy returns as a warm cache
-  hit, never duplicate work.
+* **Single-synthesis semantics, cross-process.**  Children run jobs
+  through :func:`~repro.api.batch.run_task`, which synthesizes a miss
+  under the store-level claim file for its address
+  (:mod:`repro.store.claims`) and polls the cache while someone else
+  holds it — a sibling child of this service, another service, or a
+  batch run on the same cache directory.  Identical requests — one
+  client or many, one service or many — synthesize exactly once; every
+  other copy returns as a warm cache hit, never duplicate work.
 
 * **Certified results only.**  Workers run with ``verify=True``, the
   same caller-side assertion as ``run_task(verify=True)``: a feasible
@@ -344,22 +342,21 @@ class SynthesisService:
     def _execute_in_child(self, job: Job) -> None:
         """Run one job on a pool child, surviving its death.
 
-        The in-process key claim orders content-identical jobs of *this*
-        service, and once a job's turn comes the parent looks it up
-        again: a follower whose leader just finished (or a replayed job
-        whose work reached the cache before a crash) is answered here,
-        without a child.  A child only ever sees a miss; it additionally
-        takes the store-level claim file, which is what serializes
-        against other service processes on the same cache directory.
+        The parent looks the job up again at dequeue: a duplicate whose
+        twin already finished (or a replayed job whose work reached the
+        cache before a crash) is answered here, without a child.  A
+        child only ever sees a miss; its ``run_task`` takes the
+        store-level claim, which is what serializes content-identical
+        jobs — of this service or any other process on the same cache
+        directory.
         """
-        self.queue.wait_for_key_turn(job)
         hit = self._lookup(job.task)
         if hit is not None:
             self._note_record(job, hit)
             self.queue.finish(job, record=hit.to_dict())
             return
         try:
-            outcome = self._pool.run({"task": job.task.to_dict(), "owner": job.id})
+            outcome = self._pool.run({"task": job.task.to_dict()})
         except WorkerCrash as crash:
             with self._guard:
                 self._worker_crashes += 1

@@ -15,10 +15,11 @@ One interface, one write format:
   one-JSON-file-per-key layout, kept so old cache directories can be
   read (``repro store stats``/``query``) and migrated.
 
-:mod:`~repro.store.claims` adds the cross-process single-flight
+:mod:`~repro.store.claims` adds the package's one single-flight
 protocol on top of the store: per-content-address claim files
 (atomic link-into-place, dead-pid/lease staleness, serialized breaking)
-that let many processes share one store directory without ever
+that :func:`~repro.api.batch.run_task` takes around every cached
+synthesis, so many processes share one store directory without ever
 synthesizing the same task twice.
 
 :func:`open_store` opens a legacy directory as a :class:`LegacyStore`

@@ -1,13 +1,13 @@
 """Cross-process single-flight claims, keyed by content address.
 
-A *claim file* is the store-level generalization of the serving layer's
-in-process per-key claims: a small JSON file under
-``<store_root>/claims/<key[:2]>/<key>.claim`` whose existence means
-"some process is synthesizing this content address right now".  Two
-service processes (or two batch runs, or a service and a CLI sweep)
-sharing one cache directory coordinate through these files so a given
-content address is synthesized **once**, no matter how many processes
-race for it.
+A *claim file* is a small JSON file ``<store_root>/claims/<key>.claim``
+whose existence means "some process is synthesizing this content
+address right now".  It is the one single-flight mechanism in the
+package: :func:`repro.api.batch.run_task` takes it around every cached
+synthesis, so any processes sharing one readable and writable cache
+directory — two batch runs, a service and a CLI sweep with
+``--resume``, serve children, race contenders — synthesize a given
+content address **once**, no matter how many of them race for it.
 
 The protocol keeps the discipline the store's other on-disk structures
 established — every visible state transition is a single atomic
@@ -27,12 +27,13 @@ filesystem operation:
   one observed: a breaker never unlinks a claim that changed hands
   under it.
 
-Waiters do not block on the claim itself: the expected protocol (what
-:func:`repro.exec.run_claimed_task` does) is *poll the result
-store while the claim is held* — when the holder finishes, its record
-appears in the store and the waiter returns it as a cache hit; when the
-holder dies, its claim goes stale and the waiter breaks it and takes
-over.  Liveness never depends on a crashed process cleaning up.
+Waiters do not block on the claim itself: the protocol (what
+:func:`repro.api.batch.run_task` does) is *poll the result store
+while the claim is held*, every :data:`CLAIM_POLL` seconds — when the
+holder finishes, its record appears in the store and the waiter
+returns it as a cache hit; when the holder dies, its claim goes stale
+and the waiter breaks it and takes over.  Liveness never depends on a
+crashed process cleaning up.
 """
 
 from __future__ import annotations
@@ -63,8 +64,17 @@ BREAK_LOCK = ".break.lock"
 #: has to be comfortably longer than the slowest synthesis.
 DEFAULT_LEASE = 300.0
 
+#: Seconds between store polls while another process holds the claim.
+CLAIM_POLL = 0.02
+
+#: Ceiling on waiting for someone else's claim before computing
+#: redundantly anyway (the store keeps that merely wasteful, not wrong).
+CLAIM_TIMEOUT = 600.0
+
 __all__ = [
     "CLAIMS_DIR",
+    "CLAIM_POLL",
+    "CLAIM_TIMEOUT",
     "DEFAULT_LEASE",
     "Claim",
     "ClaimError",
@@ -90,8 +100,8 @@ class ClaimInfo:
         acquired_at: Epoch timestamp of acquisition.
         lease: Seconds after which the claim may be broken even if the
             pid cannot be proven dead.
-        owner: Free-form holder label (job id, service name) for humans
-            reading a claims directory.
+        owner: Free-form holder label for humans reading a claims
+            directory (``run_task`` writes ``pid-<n>``).
         nonce: Random token distinguishing re-acquisitions of one key.
     """
 
@@ -163,7 +173,10 @@ def pid_is_dead(pid: int) -> bool:
 def claim_path(root: Union[str, Path], key: str) -> Path:
     """The claim-file path for one content address under a store root."""
     root = Path(root).expanduser()
-    return root / CLAIMS_DIR / key[:2] / f"{key}.claim"
+    # one flat directory: claim files are transient (one per synthesis in
+    # flight), and a fresh per-prefix subdirectory would cost a mkdir on
+    # most acquisitions
+    return root / CLAIMS_DIR / f"{key}.claim"
 
 
 def holder(root: Union[str, Path], key: str) -> Optional[ClaimInfo]:
@@ -218,7 +231,7 @@ def _break_if_unchanged(path: Path, observed: bytes) -> bool:
     sees the first breaker's successor claim — different bytes — and
     backs off).
     """
-    lock_path = path.parent.parent / BREAK_LOCK
+    lock_path = path.parent / BREAK_LOCK
     fd = os.open(lock_path, os.O_WRONLY | os.O_CREAT, 0o644)
     try:
         if fcntl is not None:
@@ -303,7 +316,7 @@ def break_stale_claims(root: Union[str, Path]) -> int:
     if not claims_root.is_dir():
         return 0
     broken = 0
-    for path in sorted(claims_root.glob("*/*.claim")):
+    for path in sorted(claims_root.glob("*.claim")):
         try:
             observed = path.read_bytes()
         except OSError:

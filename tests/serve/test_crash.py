@@ -244,10 +244,10 @@ class TestStaleClaimHygiene:
             assert job.state == DONE and job.record["feasible"]
 
     def test_inline_break_when_claim_goes_stale_mid_wait(self, tmp_path):
-        # a claim planted *after* boot, holder already dead: the worker's
+        # a claim planted *after* boot, holder already dead: run_task's
         # acquire loop must break it inline rather than waiting forever
+        from repro.api.batch import run_task
         from repro.explore import ResultCache
-        from repro.exec import run_claimed_task
 
         task = SynthesisTask(graph="hal", latency=17, power_budget=10.0)
         cache = ResultCache(tmp_path / "cache")
@@ -261,6 +261,6 @@ class TestStaleClaimHygiene:
         )
         path.write_bytes(dead.to_json().encode())
 
-        outcome = run_claimed_task(task, cache, claim_timeout=30.0)
+        outcome = run_task(task, keep_result=False, cache=cache).to_dict()
         assert outcome["feasible"] is True
         assert claims.holder(cache.root, task.cache_key()) is None

@@ -5,8 +5,9 @@ persistent queue → shared result cache), submits the *same* 20-task
 batch from two concurrent clients, and proves:
 
 * **single-synthesis semantics** — exactly 20 synthesis runs happen in
-  total; every one of the second client's jobs is answered from the
-  cache (``cached=True``),
+  total: of each task's two jobs, one computes and the other is
+  answered from the cache (``cached=True``) — whichever took the store
+  claim second, or was dequeued after its twin finished,
 * **certified results only** — every feasible record served over
   ``GET /results/<key>`` corresponds to a result that passes the
   independent certificate checker when recomputed in-process,
@@ -77,17 +78,15 @@ def test_all_forty_jobs_finish(served_batches):
         assert all(job["state"] == "done" for job in jobs)
 
 
-def test_second_client_is_answered_entirely_from_cache(served_batches):
+def test_each_task_is_synthesized_once_across_both_clients(served_batches):
     outcomes, stats, _results = served_batches
-    assert all(job["record"]["cached"] for job in outcomes["second"]), (
-        "every job of the concurrently-submitted identical batch must be "
-        "a cache hit"
-    )
-    # exactly one synthesis per distinct task across both clients
-    flags = [job["record"]["cached"] for job in outcomes["first"]] + [
-        job["record"]["cached"] for job in outcomes["second"]
-    ]
-    assert flags.count(False) == len(BATCH)
+    # exactly one synthesis per distinct task across both clients; which
+    # twin computes is decided by the store claim, not by submission order
+    flags = {}
+    for job in outcomes["first"] + outcomes["second"]:
+        flags.setdefault(job["key"], []).append(job["record"]["cached"])
+    assert len(flags) == len(BATCH)
+    assert all(sorted(pair) == [False, True] for pair in flags.values()), flags
     assert stats["summary"]["computed"] == len(BATCH)
     assert stats["summary"]["cache_hits"] == len(BATCH)
     assert stats["cache"]["writes"] == len(BATCH)

@@ -69,28 +69,6 @@ class TestLifecycle:
         assert queue.take(timeout=0.1) is first  # ahead of the other pending job
 
 
-class TestSingleFlight:
-    def test_key_turns_follow_take_order(self):
-        queue = JobQueue()
-        leader = queue.submit(task())
-        follower = queue.submit(task())  # content-identical
-        queue.take(timeout=0.1)
-        queue.take(timeout=0.1)
-        assert queue.wait_for_key_turn(leader, timeout=0.1)
-        assert not queue.wait_for_key_turn(follower, timeout=0.05)  # leader running
-        queue.finish(leader, record={})
-        assert queue.wait_for_key_turn(follower, timeout=1.0)
-
-    def test_distinct_keys_never_wait(self):
-        queue = JobQueue()
-        a = queue.submit(task(10.0))
-        b = queue.submit(task(12.0))
-        queue.take(timeout=0.1)
-        queue.take(timeout=0.1)
-        assert queue.wait_for_key_turn(a, timeout=0.1)
-        assert queue.wait_for_key_turn(b, timeout=0.1)
-
-
 class TestPersistence:
     def test_replay_restores_jobs_and_states(self, tmp_path):
         queue = JobQueue(tmp_path)

@@ -224,8 +224,12 @@ class TestParentAnswersHits:
             assert jobs[0].state == jobs[3].state == DONE
             service.wait(jobs, timeout=60)
             stats = service.stats()
-        assert [job.record["cached"] for job in jobs] == [True, False, True, True]
-        assert shipped == [task(10.0).cache_key()], "children see only misses"
+        # the duplicate either reached a child and waited there on the
+        # store claim, or was answered by the parent at dequeue
+        assert jobs[0].record["cached"] and jobs[3].record["cached"]
+        assert sorted([jobs[1].record["cached"], jobs[2].record["cached"]]) == [False, True]
+        assert shipped and set(shipped) == {task(10.0).cache_key()}, "children see only misses"
+        assert len(shipped) <= 2
         assert stats["cache"]["hits"] == 3
         assert stats["cache"]["misses"] == 1
         assert stats["cache"]["writes"] == 1
