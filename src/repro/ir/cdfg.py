@@ -32,7 +32,9 @@ memoized on the instance:
 * the (lexicographic) topological order and its reverse are computed
   once and reused,
 * :meth:`CDFG.reversed` returns a **cached, shared** reversed graph
-  whose storage is frozen: its mutators raise :class:`CDFGError`.
+  whose storage is frozen: its mutators raise :class:`CDFGError`,
+* the schedulable operations and the set of virtual operations are
+  computed once.
 
 Every structural mutation (:meth:`add_operation`, :meth:`add_edge`,
 :meth:`remove_operation`) drops all caches, so a mutated graph never
@@ -42,7 +44,7 @@ serves stale answers.  The storage itself is private; nothing outside
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .graph import DiGraph, GraphCycleError
 from .operation import Operation, OpType
@@ -84,6 +86,7 @@ class CDFG:
         self._topo_pos_cache: Optional[Dict[str, int]] = None
         self._reversed_cache: Optional["CDFG"] = None
         self._schedulable_cache: Optional[Tuple[str, ...]] = None
+        self._virtual_cache: Optional[FrozenSet[str]] = None
         #: Bumped on every structural mutation; lets external memoizers
         #: (e.g. ValidatedDelayMap) detect that the graph changed.
         self._version = 0
@@ -97,6 +100,7 @@ class CDFG:
         self._topo_pos_cache = None
         self._reversed_cache = None
         self._schedulable_cache = None
+        self._virtual_cache = None
         self._version += 1
 
     def _check_mutable(self) -> None:
@@ -326,6 +330,18 @@ class CDFG:
             )
         return list(self._schedulable_cache)
 
+    def virtual_operations(self) -> FrozenSet[str]:
+        """Names of the virtual operations, as a cached frozen set.
+
+        Lets scheduler inner loops test "is virtual" with one set lookup
+        instead of an operation fetch and an attribute read.
+        """
+        if self._virtual_cache is None:
+            self._virtual_cache = frozenset(
+                n for n, op in self._graph.nodes.items() if op.is_virtual
+            )
+        return self._virtual_cache
+
     # ------------------------------------------------------------------ #
     # Derived graphs
     # ------------------------------------------------------------------ #
@@ -343,6 +359,7 @@ class CDFG:
         clone._topo_cache = self._topo_cache
         clone._rtopo_cache = self._rtopo_cache
         clone._schedulable_cache = self._schedulable_cache
+        clone._virtual_cache = self._virtual_cache
         return clone
 
     def reversed(self) -> "CDFG":

@@ -22,7 +22,7 @@ combined synthesis trade speed and power against area.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..ir.operation import OpType
 from .module import FUModule, LibraryError
@@ -34,6 +34,8 @@ class FULibrary:
     def __init__(self, modules: Iterable[FUModule] = (), name: str = "library") -> None:
         self.name = name
         self._modules: Dict[str, FUModule] = {}
+        # optype -> candidates(optype); dropped by add() and remove().
+        self._candidates: Dict[OpType, Tuple[FUModule, ...]] = {}
         for module in modules:
             self.add(module)
 
@@ -45,12 +47,14 @@ class FULibrary:
         if module.name in self._modules:
             raise LibraryError(f"duplicate module name: {module.name!r}")
         self._modules[module.name] = module
+        self._candidates.clear()
         return module
 
     def remove(self, name: str) -> None:
         if name not in self._modules:
             raise LibraryError(f"unknown module: {name!r}")
         del self._modules[name]
+        self._candidates.clear()
 
     def __contains__(self, name: str) -> bool:
         return name in self._modules
@@ -75,9 +79,18 @@ class FULibrary:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def candidates(self, optype: OpType) -> List[FUModule]:
-        """All modules able to execute ``optype`` (registration order)."""
-        return [m for m in self._modules.values() if m.supports(optype)]
+    def candidates(self, optype: OpType) -> Tuple[FUModule, ...]:
+        """All modules able to execute ``optype`` (registration order).
+
+        Cached per operation type until the next :meth:`add` or
+        :meth:`remove`; the tuple cannot be changed by a caller.
+        """
+        try:
+            return self._candidates[optype]
+        except KeyError:
+            found = tuple(m for m in self._modules.values() if m.supports(optype))
+            self._candidates[optype] = found
+            return found
 
     def supports(self, optype: OpType) -> bool:
         """True if at least one module implements ``optype``."""

@@ -23,7 +23,14 @@ from .pasap import (
     pasap_start_times,
 )
 from .palap import palap_core, palap_schedule, palap_schedule_with_library, palap_start_times
-from .mobility import Window, WindowCache, WindowSet, compute_windows, windows_feasible
+from .mobility import (
+    Window,
+    WindowCache,
+    WindowSet,
+    compute_windows,
+    feasible_windows,
+    windows_feasible,
+)
 from .list_scheduler import (
     ResourceInfeasibleError,
     greedy_allocation_for_latency,
@@ -74,6 +81,7 @@ __all__ = [
     "WindowSet",
     "WindowCache",
     "compute_windows",
+    "feasible_windows",
     "windows_feasible",
     "ResourceInfeasibleError",
     "greedy_allocation_for_latency",

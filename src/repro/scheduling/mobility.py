@@ -13,11 +13,23 @@ feasibility of every interior start time, and after a binding decision the
 windows must be recomputed with the bound operations locked.  A
 negative-width window, however, is a reliable infeasibility signal and
 triggers the engine's backtrack-and-lock rule.
+
+Implementation notes
+--------------------
+* Both pasap and palap place a locked operation at its lock, so a
+  :class:`WindowSet` is just the two start maps; :class:`Window` objects
+  are built only when a caller indexes one.
+* The engine recomputes every window after each decision, with the
+  locked profiles carried over by a :class:`WindowCache`, and checks them
+  with :func:`feasible_windows` (which :func:`windows_feasible` wraps).
+  pasap and palap themselves count each operation's unscheduled
+  predecessors to form their waves (see :mod:`repro.scheduling.pasap`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Dict, Mapping, Optional
 
 from ..ir.cdfg import CDFG
@@ -49,35 +61,55 @@ class Window:
         return f"[{self.earliest}, {self.latest}]"
 
 
-@dataclass
 class WindowSet:
-    """pasap/palap windows for every operation of a CDFG."""
+    """pasap/palap windows for every operation of a CDFG.
 
-    windows: Dict[str, Window]
-    pasap_starts: Dict[str, int]
-    palap_starts: Dict[str, int]
+    A window is ``(pasap_starts[op], palap_starts[op])``: pasap and palap
+    both place a locked operation at its lock, so no per-operation
+    :class:`Window` objects are built up front.  Indexing builds one on
+    demand, and the :attr:`windows` mapping is built on first access.
+    """
+
+    def __init__(self, pasap_starts: Dict[str, int], palap_starts: Dict[str, int]) -> None:
+        self.pasap_starts = pasap_starts
+        self.palap_starts = palap_starts
+        self._windows: Optional[Dict[str, Window]] = None
+
+    @property
+    def windows(self) -> Dict[str, Window]:
+        """Operation name → :class:`Window` (built once, on first access)."""
+        if self._windows is None:
+            latest = self.palap_starts
+            self._windows = {
+                name: Window(earliest, latest[name])
+                for name, earliest in self.pasap_starts.items()
+            }
+        return self._windows
 
     def __getitem__(self, op_name: str) -> Window:
-        return self.windows[op_name]
+        return Window(self.pasap_starts[op_name], self.palap_starts[op_name])
 
     def __contains__(self, op_name: str) -> bool:
-        return op_name in self.windows
+        return op_name in self.pasap_starts
 
     def __iter__(self):
-        return iter(self.windows)
+        return iter(self.pasap_starts)
 
     @property
     def all_feasible(self) -> bool:
         """True if every operation has a non-negative-width window."""
-        return all(w.feasible for w in self.windows.values())
+        latest = self.palap_starts
+        return all(latest[n] >= earliest for n, earliest in self.pasap_starts.items())
 
     def infeasible_operations(self) -> list:
         """Names of operations whose window collapsed (latest < earliest)."""
-        return sorted(n for n, w in self.windows.items() if not w.feasible)
+        latest = self.palap_starts
+        return sorted(n for n, earliest in self.pasap_starts.items() if latest[n] < earliest)
 
     def total_mobility(self) -> int:
         """Sum of window widths (a coarse measure of remaining freedom)."""
-        return sum(max(0, w.width) for w in self.windows.values())
+        latest = self.palap_starts
+        return sum(max(0, latest[n] - earliest) for n, earliest in self.pasap_starts.items())
 
 
 class WindowCache:
@@ -150,18 +182,45 @@ def compute_windows(
         locked=locked,
         locked_base=cache.backward if cache is not None else None,
     )
+    return WindowSet(pasap_starts, palap_starts)
 
-    windows: Dict[str, Window] = {}
-    for name in cdfg.operation_names():
-        if name in locked:
-            windows[name] = Window(locked[name], locked[name])
-        else:
-            windows[name] = Window(pasap_starts[name], palap_starts[name])
-    return WindowSet(
-        windows=windows,
-        pasap_starts=pasap_starts,
-        palap_starts=palap_starts,
+
+def feasible_windows(
+    cdfg: CDFG,
+    delays: Mapping[str, int],
+    powers: Mapping[str, float],
+    power: PowerConstraint,
+    time: TimeConstraint,
+    locked: Optional[Mapping[str, int]] = None,
+    cache: Optional[WindowCache] = None,
+) -> WindowSet:
+    """:func:`compute_windows`, checked the way the synthesis engine needs.
+
+    The synthesis engine calls this after every committed binding
+    decision; a failure triggers its backtrack-and-lock rule.
+
+    Raises:
+        PowerInfeasibleError: when the windows cannot be computed, some
+            window is empty, or the pasap schedule (which the power
+            budget may stretch) finishes after the latency bound ``T``.
+    """
+    window_set = compute_windows(cdfg, delays, powers, power, time, locked=locked, cache=cache)
+    if not window_set.all_feasible:
+        raise PowerInfeasibleError(
+            f"infeasible windows for operations {window_set.infeasible_operations()}"
+        )
+    pasap_starts = window_set.pasap_starts
+    horizon = (
+        max(map(add, pasap_starts.values(), map(delays.__getitem__, pasap_starts)))
+        if pasap_starts
+        else 0
     )
+    if horizon > time.latency:
+        raise PowerInfeasibleError(
+            f"power-feasible schedule needs {horizon} cycles, exceeding "
+            f"the latency bound {time.latency}"
+        )
+    return window_set
 
 
 def windows_feasible(
@@ -172,20 +231,10 @@ def windows_feasible(
     time: TimeConstraint,
     locked: Optional[Mapping[str, int]] = None,
 ) -> bool:
-    """True when window computation succeeds and every window is non-empty.
-
-    This is the feasibility predicate used by the synthesis engine before
-    committing a binding decision.
-    """
+    """True when :func:`feasible_windows` succeeds: every window is
+    non-empty and the pasap schedule meets the latency bound."""
     try:
-        window_set = compute_windows(cdfg, delays, powers, power, time, locked=locked)
+        feasible_windows(cdfg, delays, powers, power, time, locked=locked)
     except PowerInfeasibleError:
         return False
-    if not window_set.all_feasible:
-        return False
-    # The pasap schedule must also meet the latency bound, otherwise the
-    # power budget forces the computation past T.
-    horizon = max(
-        window_set.pasap_starts[n] + delays[n] for n in cdfg.operation_names()
-    ) if len(cdfg) else 0
-    return horizon <= time.latency
+    return True

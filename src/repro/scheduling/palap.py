@@ -95,13 +95,17 @@ def palap_core(
     reversed_cdfg = cdfg.reversed()
 
     # Translate locked forward start times into reversed start times.
-    reversed_locked: Dict[str, int] = {}
-    for name, fwd_start in (locked or {}).items():
-        if name in cdfg:
-            reversed_locked[name] = latency - fwd_start - delays[name]
-            if reversed_locked[name] < 0:
+    locked = locked or {}
+    reversed_locked: Dict[str, int] = {
+        name: latency - fwd_start - delays[name]
+        for name, fwd_start in locked.items()
+        if name in cdfg
+    }
+    if reversed_locked and min(reversed_locked.values()) < 0:
+        for name, rev_start in reversed_locked.items():
+            if rev_start < 0:
                 raise PowerInfeasibleError(
-                    f"locked start {fwd_start} of {name!r} lies beyond the "
+                    f"locked start {locked[name]} of {name!r} lies beyond the "
                     f"latency bound {latency}"
                 )
 
@@ -115,16 +119,18 @@ def palap_core(
         locked_base=locked_base,
     )
 
-    start: Dict[str, int] = {}
-    for name, rev_start in reversed_start.items():
-        fwd_start = latency - rev_start - delays[name]
-        if fwd_start < 0:
-            raise PowerInfeasibleError(
-                f"latency bound {latency} infeasible under power budget "
-                f"{power.max_power:.3f}: operation {name!r} would start at "
-                f"cycle {fwd_start}"
-            )
-        start[name] = fwd_start
+    start: Dict[str, int] = {
+        name: latency - rev_start - delays[name]
+        for name, rev_start in reversed_start.items()
+    }
+    if start and min(start.values()) < 0:
+        for name, fwd_start in start.items():
+            if fwd_start < 0:
+                raise PowerInfeasibleError(
+                    f"latency bound {latency} infeasible under power budget "
+                    f"{power.max_power:.3f}: operation {name!r} would start at "
+                    f"cycle {fwd_start}"
+                )
     return start
 
 

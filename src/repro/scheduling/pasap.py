@@ -17,11 +17,20 @@ power drawn in any clock cycle never exceeds the budget ``P``:
 
 Implementation notes
 ---------------------
-* Operations are visited in a (deterministic) topological order; within a
-  ready set the order is the priority function, by default
-  *largest power first, then longest delay, then name* — greedy packing of
-  the heavy operations first reduces the stretching needed later and is
-  the natural reading of the paper's "pick an unscheduled operator".
+* Operations are visited in topological *waves*: a wave is every
+  unscheduled operator whose predecessors are all scheduled, in the
+  graph's topological order, and within a wave the order is the priority
+  function, by default *largest power first, then longest delay, then
+  name* — greedy packing of the heavy operations first reduces the
+  stretching needed later and is the natural reading of the paper's
+  "pick an unscheduled operator".  Waves come from per-call counters of
+  unscheduled predecessors: the next wave is the successors whose count
+  reaches zero, put back in topological order, so no pass rescans the
+  unscheduled operators.
+* Step 3's "increase ``o_i`` by one" is taken in jumps: when some cycle of
+  the execution interval is over budget, every offset up to that cycle
+  would overlap it, so the search resumes just past it.  The start found
+  is the one the unit steps would find.
 * Already-bound operations can be *locked* at fixed start times; their
   power is pre-committed to the profile.  The combined synthesis engine
   relies on this to recompute pasap windows after every binding decision
@@ -43,7 +52,7 @@ from ..library.selection import (
     selection_powers,
 )
 from .constraints import PowerConstraint
-from .schedule import Schedule, add_to_profile, profile_allows
+from .schedule import Schedule, add_to_profile
 
 
 class PowerInfeasibleError(Exception):
@@ -117,7 +126,11 @@ def pasap_core(
     (called twice per committed binding decision, once forward and once on
     the reversed graph for palap); it skips the :class:`Schedule`
     construction — and its defensive dict copies and validation — that
-    :func:`pasap_schedule` layers on top for external callers.
+    :func:`pasap_schedule` layers on top for external callers.  The
+    engine recomputes from scratch after every decision: a placement
+    reads the profile of everything placed before it, and one more lock
+    changes the waves, so updating only the moved operation's cone would
+    not give the same start times.
 
     ``locked_base`` optionally carries the power profile of the locked
     operations over from the previous engine iteration: the engine's
@@ -132,12 +145,15 @@ def pasap_core(
     schedulable = cdfg.schedulable_operations()
 
     if max_horizon is None:
-        total_cycles = sum(delays[n] for n in cdfg.operation_names())
+        total_cycles = sum(map(delays.__getitem__, cdfg.operation_names()))
         max_horizon = max(total_cycles * 4 + 16, 64)
 
+    bounded = not power.is_unbounded
+    limit = power.max_power + power.tolerance
     # Single-operation feasibility: an operation drawing more than P in a
-    # cycle can never be placed.
-    if not power.is_unbounded:
+    # cycle can never be placed.  One max() decides; the loop only names
+    # the first offender.
+    if bounded and schedulable and max(map(powers.__getitem__, schedulable)) > limit:
         for name in schedulable:
             if not power.allows(powers[name]):
                 raise PowerInfeasibleError(
@@ -151,44 +167,80 @@ def pasap_core(
     else:
         profile, start = _committed_locked(cdfg, delays, powers, locked)
 
-    # Process in topological waves; inside a wave, order by priority.
-    remaining = [n for n in cdfg.topological_order() if n not in start]
-    scheduled = set(start)
+    # Process in topological waves; inside a wave, order by priority.  A
+    # wave is every unplaced operation whose predecessors are all placed,
+    # in topological order: count each operation's unplaced predecessors
+    # once, and the next wave is the successors whose count drops to zero.
+    predecessors = cdfg.predecessors
+    successors = cdfg.successors
+    virtual = cdfg.virtual_operations()
+    position = cdfg.topological_positions()
+    pending: Dict[str, int] = {}
+    ready: List[str] = []
+    for name in cdfg.topological_order():
+        if name in start:
+            continue
+        count = 0
+        for pred in predecessors(name):
+            if pred not in start:
+                count += 1
+        pending[name] = count
+        if not count:
+            ready.append(name)
+    unplaced = len(pending)
 
-    while remaining:
-        ready = [
-            n
-            for n in remaining
-            if all(p in scheduled for p in cdfg.predecessors(n))
-        ]
-        if not ready:
-            # Should not happen on a DAG; defensive.
-            raise PowerInfeasibleError(
-                f"no ready operations among {remaining!r}; dependence deadlock"
-            )
-        ready.sort(key=lambda n: priority(n, delays[n], powers[n]))
+    while ready:
+        if len(ready) > 1:
+            ready.sort(key=lambda n: priority(n, delays[n], powers[n]))
+        following: List[str] = []
         for name in ready:
-            data_ready = 0
-            for pred in cdfg.predecessors(name):
-                data_ready = max(data_ready, start[pred] + delays[pred])
-            offset = 0
-            op_delay = delays[name]
+            at = 0
+            for pred in predecessors(name):
+                finish = start[pred] + delays[pred]
+                if finish > at:
+                    at = finish
             op_power = powers[name]
-            if cdfg.operation(name).is_virtual or op_power == 0.0:
-                start[name] = data_ready
-            else:
-                while not profile_allows(profile, data_ready + offset, op_delay, op_power, power):
-                    offset += 1
-                    if data_ready + offset > max_horizon:
+            if bounded and op_power != 0.0 and name not in virtual:
+                op_delay = delays[name]
+                while True:
+                    end = at + op_delay
+                    if end > len(profile):
+                        profile.extend([0.0] * (end - len(profile)))
+                    # Every start up to a cycle over budget overlaps that
+                    # cycle, so resume just past the last one in the
+                    # interval.
+                    for cycle in range(end - 1, at - 1, -1):
+                        if profile[cycle] + op_power > limit:
+                            at = cycle + 1
+                            break
+                    else:
+                        break
+                    if at > max_horizon:
                         raise PowerInfeasibleError(
                             f"operation {name!r} cannot be placed within the "
                             f"horizon {max_horizon} under budget {power.max_power:.3f}"
                         )
-                start[name] = data_ready + offset
-                add_to_profile(profile, start[name], op_delay, op_power)
-            scheduled.add(name)
-        remaining = [n for n in remaining if n not in scheduled]
+                for cycle in range(at, at + op_delay):
+                    profile[cycle] += op_power
+            start[name] = at
+            for succ in successors(name):
+                left = pending.get(succ)
+                if left is not None:
+                    left -= 1
+                    pending[succ] = left
+                    if not left:
+                        following.append(succ)
+        unplaced -= len(ready)
+        if len(following) > 1:
+            following.sort(key=position.__getitem__)
+        ready = following
 
+    if unplaced:
+        # Should not happen on a DAG; defensive.
+        remaining = [n for n in cdfg.topological_order() if n not in start]
+        raise PowerInfeasibleError(
+            f"no ready operations among {remaining!r}; dependence deadlock"
+        )
     return start
 
 
@@ -223,16 +275,43 @@ class LockedProfileCache:
     cached operation changed its start/delay/power (e.g. after the
     engine's backtrack-and-lock rollback), the cache rebuilds from
     scratch, so correctness never depends on the engine's call pattern.
+    The signature check compares whole lists (start, delay and power per
+    cached operation), which runs in C rather than as a per-operation
+    Python loop.
     """
 
     def __init__(self) -> None:
+        self._reset()
+
+    def _reset(self) -> None:
         self._profile: List[float] = []
         self._start: Dict[str, int] = {}
-        self._signature: Dict[str, Tuple[int, int, float]] = {}
         # Locked keys in the iteration order they were committed with;
         # float addition is order-sensitive, so reuse requires the new
         # locked mapping to iterate with the cached order as a prefix.
         self._order: List[str] = []
+        # The committed operations (those in the graph) and the start,
+        # delay and power each was committed with, position by position.
+        self._names: List[str] = []
+        self._starts: List[int] = []
+        self._delays: List[int] = []
+        self._powers: List[float] = []
+
+    def _reusable(
+        self,
+        names: List[str],
+        delays: Mapping[str, int],
+        powers: Mapping[str, float],
+        locked: Mapping[str, int],
+    ) -> bool:
+        cached = self._names
+        return (
+            len(names) >= len(self._order)
+            and names[: len(self._order)] == self._order
+            and list(map(locked.__getitem__, cached)) == self._starts
+            and list(map(delays.__getitem__, cached)) == self._delays
+            and list(map(powers.__getitem__, cached)) == self._powers
+        )
 
     def profile_for(
         self,
@@ -242,23 +321,8 @@ class LockedProfileCache:
         locked: Mapping[str, int],
     ) -> Tuple[List[float], Dict[str, int]]:
         names = list(locked)
-        reusable = (
-            len(names) >= len(self._order) and names[: len(self._order)] == self._order
-        )
-        if reusable:
-            for name, (cached_start, cached_delay, cached_power) in self._signature.items():
-                if (
-                    locked.get(name) != cached_start
-                    or delays[name] != cached_delay
-                    or powers[name] != cached_power
-                ):
-                    reusable = False
-                    break
-        if not reusable:
-            self._profile = []
-            self._start = {}
-            self._signature = {}
-            self._order = []
+        if not self._reusable(names, delays, powers, locked):
+            self._reset()
         for name in names[len(self._order) :]:
             self._order.append(name)
             if name not in cdfg:
@@ -266,7 +330,10 @@ class LockedProfileCache:
             fixed_start = locked[name]
             self._start[name] = fixed_start
             add_to_profile(self._profile, fixed_start, delays[name], powers[name])
-            self._signature[name] = (fixed_start, delays[name], powers[name])
+            self._names.append(name)
+            self._starts.append(fixed_start)
+            self._delays.append(delays[name])
+            self._powers.append(powers[name])
         return list(self._profile), dict(self._start)
 
 

@@ -28,11 +28,10 @@ FU-sharing conflicts (verified by the test-suite on every benchmark).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..binding.intervals import Interval
-from ..binding.interconnect import sharing_penalty
 from ..binding.merge import BindingDecision
 from ..datapath.rtl import Datapath
 from ..ir.analysis import critical_path, critical_path_length
@@ -45,9 +44,9 @@ from ..scheduling.constraints import (
     SynthesisConstraints,
     TimeConstraint,
 )
-from ..scheduling.mobility import WindowCache, WindowSet, compute_windows
+from ..scheduling.mobility import WindowCache, WindowSet, feasible_windows
 from ..scheduling.pasap import PowerInfeasibleError
-from ..scheduling.schedule import Schedule, add_to_profile, profile_allows
+from ..scheduling.schedule import Schedule, add_to_profile
 from .result import (
     PowerInfeasibleSynthesisError,
     SynthesisResult,
@@ -96,6 +95,46 @@ class EngineOptions:
     ilp_node_limit: Optional[int] = 20_000
 
 
+class _BusyCalendar:
+    """The busy intervals ``[start, end)`` of one FU instance, sorted.
+
+    The intervals on an instance never overlap (every binding decision
+    avoids them), so sorted by start they are sorted by end too, and at
+    most one of them can overlap a window that starts inside a gap.
+    """
+
+    __slots__ = ("starts", "ends")
+
+    def __init__(self) -> None:
+        self.starts: List[int] = []
+        self.ends: List[int] = []
+
+    def add(self, start: int, end: int) -> None:
+        index = bisect_left(self.starts, start)
+        self.starts.insert(index, start)
+        self.ends.insert(index, end)
+
+    def remove(self, start: int) -> None:
+        index = bisect_left(self.starts, start)
+        del self.starts[index]
+        del self.ends[index]
+
+    def first_free(self, start: int, length: int) -> int:
+        """Earliest start >= ``start`` whose ``[start, start + length)`` is free.
+
+        A bisect finds the first interval ending after ``start``, the only
+        one that can overlap; if it does, every start before its end
+        overlaps it too, so the search jumps to that end and tries the
+        next interval, until a gap is wide enough.
+        """
+        starts, ends = self.starts, self.ends
+        index = bisect_right(ends, start)
+        while index < len(starts) and starts[index] < start + length:
+            start = ends[index]
+            index += 1
+        return start
+
+
 @dataclass
 class _EngineState:
     """Mutable synthesis state threaded through the greedy loop."""
@@ -108,6 +147,34 @@ class _EngineState:
     # Carries the locked power profiles between window recomputations so
     # each call only commits the newly locked operation (see WindowCache).
     window_cache: WindowCache = field(default_factory=WindowCache)
+    # Per FU instance: its busy calendar and the set of operations that
+    # feed its bound operations (the sources sharing_penalty counts);
+    # both follow every commit and rollback.
+    calendars: Dict[str, _BusyCalendar] = field(default_factory=dict)
+    sources: Dict[str, Set[str]] = field(default_factory=dict)
+    # Module name -> the schedulable operations it supports.
+    supported: Dict[str, List[str]] = field(default_factory=dict)
+
+
+class _Round:
+    """What one decision round evaluates its candidates against.
+
+    Nothing here changes while the round scores candidates, so the
+    memos are valid for exactly one round: a commit changes the windows,
+    the profile and the calendars.
+    """
+
+    __slots__ = ("windows", "profile", "unbound", "starts", "packing")
+
+    def __init__(self, windows: WindowSet, profile: List[float], unbound: Set[str]) -> None:
+        self.windows = windows
+        self.profile = profile
+        self.unbound = unbound
+        #: (module name, instance name or None, data-ready, latest) → start
+        self.starts: Dict[Tuple[str, Optional[str], int, int], Optional[int]] = {}
+        #: module name → unbound operations it supports, in packing order,
+        #: with their latest and earliest window bounds
+        self.packing: Dict[str, Tuple[List[str], List[int], List[int]]] = {}
 
 
 class PowerConstrainedSynthesizer:
@@ -151,27 +218,32 @@ class PowerConstrainedSynthesizer:
 
         unbound = set(cdfg.schedulable_operations())
         # Virtual operations are placed at data-ready time at the very end.
+        # An operation is ready once every non-virtual predecessor is
+        # locked: count the ones still missing, and release successors as
+        # their producers commit.
+        virtual = cdfg.virtual_operations()
+        missing = {
+            op: sum(1 for pred in cdfg.predecessors(op) if pred not in virtual)
+            for op in unbound
+        }
+        ready = {op for op, count in missing.items() if not count}
 
         while unbound:
-            ready = sorted(
-                op
-                for op in unbound
-                if all(
-                    cdfg.operation(pred).is_virtual or pred in state.locked
-                    for pred in cdfg.predecessors(op)
-                )
-            )
             if not ready:
                 raise PowerInfeasibleSynthesisError(
                     "no ready operations; dependence deadlock in synthesis loop"
                 )
-
+            ordered = sorted(ready)
             decision = self._best_decision(
-                cdfg, state, datapath, profile, windows, ready, sorted(unbound)
+                cdfg,
+                state,
+                datapath,
+                ordered,
+                _Round(windows, profile, unbound),
             )
             if decision is None:
                 raise PowerInfeasibleSynthesisError(
-                    f"no feasible binding decision for ready operations {ready} "
+                    f"no feasible binding decision for ready operations {ordered} "
                     f"under T={self.constraints.time.latency}, "
                     f"P={self.constraints.power.max_power:g}"
                 )
@@ -180,6 +252,7 @@ class PowerConstrainedSynthesizer:
             # are still schedulable; otherwise backtrack-and-lock.
             snapshot = self._commit(cdfg, state, datapath, profile, decision)
             unbound.discard(decision.op_name)
+            ready.discard(decision.op_name)
 
             if not state.lock_all_mode and unbound:
                 try:
@@ -188,18 +261,27 @@ class PowerConstrainedSynthesizer:
                 except PowerInfeasibleSynthesisError:
                     # Paper's rule: backtrack one step, lock every
                     # unscheduled operation to the last valid pasap start.
-                    self._rollback(state, datapath, profile, decision, snapshot)
+                    self._rollback(cdfg, state, datapath, profile, decision, snapshot)
                     unbound.add(decision.op_name)
                     backtracks += 1
                     for op in unbound:
                         state.locked[op] = last_valid_pasap[op]
                     state.lock_all_mode = True
+                    # Every unbound operation is locked now, so all are ready.
+                    ready = set(unbound)
                     if self.options.trace:
                         trace.append(
                             f"backtrack: undo {decision.op_name}; lock {len(unbound)} "
                             "operations to the last valid pasap schedule"
                         )
                     continue
+
+            if not snapshot["was_locked"]:
+                for succ in cdfg.successors(decision.op_name):
+                    if succ in missing:
+                        missing[succ] -= 1
+                        if not missing[succ]:
+                            ready.add(succ)
 
             if self.options.trace:
                 trace.append(decision.describe())
@@ -274,7 +356,7 @@ class PowerConstrainedSynthesizer:
     # ------------------------------------------------------------------ #
     def _windows_or_fail(self, cdfg: CDFG, state: _EngineState) -> WindowSet:
         try:
-            windows = compute_windows(
+            return feasible_windows(
                 cdfg,
                 state.delays,
                 state.powers,
@@ -285,19 +367,6 @@ class PowerConstrainedSynthesizer:
             )
         except PowerInfeasibleError as exc:
             raise PowerInfeasibleSynthesisError(str(exc)) from exc
-        if not windows.all_feasible:
-            raise PowerInfeasibleSynthesisError(
-                f"infeasible windows for operations {windows.infeasible_operations()}"
-            )
-        horizon = max(
-            windows.pasap_starts[n] + state.delays[n] for n in cdfg.operation_names()
-        )
-        if horizon > self.constraints.time.latency:
-            raise PowerInfeasibleSynthesisError(
-                f"power-feasible schedule needs {horizon} cycles, exceeding "
-                f"the latency bound {self.constraints.time.latency}"
-            )
-        return windows
 
     # ------------------------------------------------------------------ #
     # Decision generation
@@ -308,8 +377,9 @@ class PowerConstrainedSynthesizer:
 
     def _data_ready(self, cdfg: CDFG, state: _EngineState, op_name: str) -> int:
         ready = 0
+        virtual = cdfg.virtual_operations()
         for pred in cdfg.predecessors(op_name):
-            if cdfg.operation(pred).is_virtual:
+            if pred in virtual:
                 continue
             ready = max(ready, state.locked[pred] + state.delays[pred])
         return ready
@@ -341,23 +411,43 @@ class PowerConstrainedSynthesizer:
 
     def _earliest_feasible_start(
         self,
-        op_name: str,
         module: FUModule,
         data_ready: int,
         latest: int,
         profile: List[float],
-        busy: List[Interval],
+        calendar: Optional[_BusyCalendar],
     ) -> Optional[int]:
-        """Earliest start in [data_ready, latest] that fits power and the instance."""
+        """Earliest start in [data_ready, latest] that fits power and the instance.
+
+        ``calendar`` is the instance's busy calendar (``None`` for a new
+        instance).  The operation must also finish by ``T``.  A start that
+        overlaps a busy interval jumps to that interval's end, and one
+        that exceeds the budget in some cycle jumps past that cycle: every
+        start skipped would overlap the same interval or cycle.
+        """
+        length = module.latency
+        last = min(latest, self.constraints.time.latency - length)
         power = self.constraints.power
-        for start in range(data_ready, latest + 1):
-            if start + module.latency > self.constraints.time.latency:
-                return None
-            candidate = Interval(start, start + module.latency)
-            if any(candidate.overlaps(existing) for existing in busy):
-                continue
-            if not profile_allows(profile, start, module.latency, module.power, power):
-                continue
+        bounded = not power.is_unbounded
+        limit = power.max_power + power.tolerance
+        op_power = module.power
+        if bounded and not op_power <= limit:
+            return None  # over budget even in an idle cycle
+        horizon = len(profile)
+        start = data_ready
+        while start <= last:
+            if calendar is not None:
+                start = calendar.first_free(start, length)
+                if start > last:
+                    return None
+            if bounded:
+                over = None
+                for cycle in range(start, min(start + length, horizon)):
+                    if profile[cycle] + op_power > limit:
+                        over = cycle
+                if over is not None:
+                    start = over + 1
+                    continue
             return start
         return None
 
@@ -365,12 +455,10 @@ class PowerConstrainedSynthesizer:
         self,
         cdfg: CDFG,
         state: _EngineState,
-        windows: WindowSet,
+        round_: _Round,
         module: FUModule,
         op_name: str,
         start: int,
-        unbound: List[str],
-        shareable_order: Optional[Dict[str, List[str]]] = None,
     ) -> int:
         """Estimate how many unbound operations a new instance could host.
 
@@ -382,34 +470,50 @@ class PowerConstrainedSynthesizer:
         operations it is likely to serve, which is what lets the engine
         trade operator implementations as the paper describes.
 
-        ``shareable_order`` memoizes the sorted shareable-operation list
-        per module name across the candidates of one decision round (the
-        list only depends on the module and the current windows, not on
-        ``op_name``, which is skipped during packing instead).
+        The packing visits operations by (latest, earliest, name), an
+        order the round memoizes per module, and skips any whose window
+        closes before the instance is free, so a bisect on the latest
+        bounds finds the next one it can take.
         """
-        latency_bound = self.constraints.time.latency
-        busy_end = start + module.latency
+        order = round_.packing.get(module.name)
+        if order is None:
+            supported = state.supported.get(module.name)
+            if supported is None:
+                supported = state.supported[module.name] = [
+                    v
+                    for v in cdfg.schedulable_operations()
+                    if module.supports(cdfg.operation(v).optype)
+                ]
+            windows = round_.windows
+            earliest, latest = windows.pasap_starts, windows.palap_starts
+            unbound = round_.unbound
+            packing = sorted(
+                [(latest[v], earliest[v], v) for v in supported if v in unbound and v in windows]
+            )
+            order = (
+                [v for _, _, v in packing],
+                [late for late, _, _ in packing],
+                [early for _, early, _ in packing],
+            )
+            round_.packing[module.name] = order
+        names, latests, earliests = order
+        length = module.latency
+        last_start = self.constraints.time.latency - length
+        busy_end = start + length
         count = 1
-        others = None if shareable_order is None else shareable_order.get(module.name)
-        if others is None:
-            others = [
-                v
-                for v in unbound
-                if module.supports(cdfg.operation(v).optype) and v in windows
-            ]
-            others.sort(key=lambda v: (windows[v].latest, windows[v].earliest, v))
-            if shareable_order is not None:
-                shareable_order[module.name] = others
-        for other in others:
-            if other == op_name:
-                continue
-            earliest = max(windows[other].earliest, busy_end)
-            if earliest > windows[other].latest:
-                continue
-            if earliest + module.latency > latency_bound:
+        index = 0
+        while busy_end <= last_start:
+            # Operations whose window closes before busy_end are skipped.
+            index = bisect_left(latests, busy_end, index)
+            if index == len(names):
+                break
+            other, latest = names[index], latests[index]
+            earliest = max(earliests[index], busy_end)
+            index += 1
+            if other == op_name or earliest > latest or earliest > last_start:
                 continue
             count += 1
-            busy_end = earliest + module.latency
+            busy_end = earliest + length
         return count
 
     def _best_decision(
@@ -417,73 +521,100 @@ class PowerConstrainedSynthesizer:
         cdfg: CDFG,
         state: _EngineState,
         datapath: Datapath,
-        profile: List[float],
-        windows: WindowSet,
         ready: List[str],
-        unbound: List[str],
+        round_: _Round,
     ) -> Optional[BindingDecision]:
+        """The candidate decision with the least sort key, or ``None``.
+
+        No two candidates share a key, so the minimum does not depend on
+        the order they are scored in, and a candidate whose least possible
+        key already exceeds the best so far is passed over without its
+        start search.  A share's key is least with no delay.  Shares are
+        scored first: a new instance's amortized area is at least its area
+        over the most operations it could host by ``T``, so once a share
+        scores below that bound the new instance is passed over without
+        its start search or capacity packing too.
+        """
         best: Optional[BindingDecision] = None
-        # Busy intervals and shareable-operation orderings do not depend
-        # on which ready operation is being evaluated; build them once
-        # per decision round instead of once per candidate.
-        busy_by_instance = {
-            instance.name: [
-                Interval(state.locked[o], state.locked[o] + instance.module.latency)
-                for o in instance.bound_ops
-            ]
-            for instance in datapath.instances.values()
-        }
-        shareable_order: Dict[str, List[str]] = {}
+        best_key: Optional[Tuple] = None
+        windows = round_.windows
+        interconnect_weight = self.options.interconnect_weight
+        delay_weight = self.options.delay_area_weight
+        latency = self.constraints.time.latency
+        instances_of: Dict[str, List[str]] = {}
+        for instance in datapath.instances.values():
+            instances_of.setdefault(instance.module.name, []).append(instance.name)
+
+        plans = []
         for op_name in ready:
             data_ready = self._data_ready(cdfg, state, op_name)
             if state.lock_all_mode:
                 window_latest = state.locked[op_name]
                 data_ready = state.locked[op_name]
             else:
-                window_latest = max(windows[op_name].latest, data_ready)
-
+                window_latest = max(windows.palap_starts[op_name], data_ready)
             candidates = self._candidate_modules(cdfg, op_name, state)
+            plans.append((op_name, data_ready, window_latest, candidates))
+
+            # (a) share an existing instance of a candidate module
+            op_sources = set(cdfg.predecessors(op_name))
             for module in candidates:
-                # (a) share an existing instance of this module
-                for instance in datapath.instances.values():
-                    if instance.module.name != module.name:
+                for instance_name in instances_of.get(module.name, ()):
+                    penalty = interconnect_weight * len(
+                        op_sources.difference(state.sources[instance_name])
+                    )
+                    # The key's least possible value: no delay, start at
+                    # data-ready time.
+                    if best_key is not None and delay_weight >= 0 and (
+                        0.0, penalty, 0, data_ready, op_name, module.name, instance_name
+                    ) > best_key:
                         continue
-                    busy = busy_by_instance[instance.name]
-                    start = self._earliest_feasible_start(
-                        op_name, module, data_ready, window_latest, profile, busy
+                    start = self._start_in_round(
+                        round_, module, instance_name, data_ready, window_latest,
+                        state.calendars[instance_name],
                     )
                     if start is None:
                         continue
                     decision = BindingDecision(
                         op_name=op_name,
                         module=module,
-                        instance_name=instance.name,
+                        instance_name=instance_name,
                         start_time=start,
                         area_increase=0.0,
-                        interconnect_penalty=self.options.interconnect_weight
-                        * sharing_penalty(cdfg, instance.bound_ops, op_name),
+                        interconnect_penalty=penalty,
                         mobility_loss=start - data_ready,
-                        effective_area=self.options.delay_area_weight * (start - data_ready),
+                        effective_area=delay_weight * (start - data_ready),
                     )
-                    if best is None or decision.sort_key() < best.sort_key():
-                        best = decision
-                # (b) allocate a new instance of this module
-                start = self._earliest_feasible_start(
-                    op_name, module, data_ready, window_latest, profile, []
+                    decision_key = decision.sort_key()
+                    if best_key is None or decision_key < best_key:
+                        best, best_key = decision, decision_key
+
+        # (b) allocate a new instance of a candidate module
+        prune = not state.lock_all_mode
+        for op_name, data_ready, window_latest, candidates in plans:
+            for module in candidates:
+                length = module.latency
+                if prune and best_key is not None and delay_weight >= 0:
+                    most = 1 + max(0, (latency - data_ready - length) // length)
+                    if module.area / most > best_key[0]:
+                        continue
+                start = self._start_in_round(
+                    round_, module, None, data_ready, window_latest, None
                 )
                 if start is None:
                     continue
                 if state.lock_all_mode:
                     effective_area: Optional[float] = None
                 else:
+                    delay_cost = delay_weight * (start - data_ready)
+                    if best_key is not None:
+                        most = 1 + (latency - start - length) // length
+                        if module.area / most + delay_cost > best_key[0]:
+                            continue
                     capacity = self._estimate_capacity(
-                        cdfg, state, windows, module, op_name, start, unbound,
-                        shareable_order=shareable_order,
+                        cdfg, state, round_, module, op_name, start
                     )
-                    effective_area = (
-                        module.area / capacity
-                        + self.options.delay_area_weight * (start - data_ready)
-                    )
+                    effective_area = module.area / capacity + delay_cost
                 decision = BindingDecision(
                     op_name=op_name,
                     module=module,
@@ -494,9 +625,29 @@ class PowerConstrainedSynthesizer:
                     mobility_loss=start - data_ready,
                     effective_area=effective_area,
                 )
-                if best is None or decision.sort_key() < best.sort_key():
-                    best = decision
+                decision_key = decision.sort_key()
+                if best_key is None or decision_key < best_key:
+                    best, best_key = decision, decision_key
         return best
+
+    def _start_in_round(
+        self,
+        round_: _Round,
+        module: FUModule,
+        instance_name: Optional[str],
+        data_ready: int,
+        latest: int,
+        calendar: Optional[_BusyCalendar],
+    ) -> Optional[int]:
+        """:meth:`_earliest_feasible_start`, memoized for the round."""
+        key = (module.name, instance_name, data_ready, latest)
+        try:
+            return round_.starts[key]
+        except KeyError:
+            start = round_.starts[key] = self._earliest_feasible_start(
+                module, data_ready, latest, round_.profile, calendar
+            )
+            return start
 
     # ------------------------------------------------------------------ #
     # Commit / rollback
@@ -519,10 +670,16 @@ class PowerConstrainedSynthesizer:
         }
         if decision.instance_name is None:
             instance = datapath.add_instance(decision.module)
+            state.calendars[instance.name] = _BusyCalendar()
+            state.sources[instance.name] = set()
         else:
             instance = datapath.instances[decision.instance_name]
         datapath.bind(decision.op_name, instance.name)
         snapshot["instance_name"] = instance.name
+        state.calendars[instance.name].add(
+            decision.start_time, decision.start_time + decision.module.latency
+        )
+        state.sources[instance.name].update(cdfg.predecessors(decision.op_name))
 
         state.locked[decision.op_name] = decision.start_time
         state.delays[decision.op_name] = decision.module.latency
@@ -533,6 +690,7 @@ class PowerConstrainedSynthesizer:
 
     def _rollback(
         self,
+        cdfg: CDFG,
         state: _EngineState,
         datapath: Datapath,
         profile: List[float],
@@ -546,6 +704,13 @@ class PowerConstrainedSynthesizer:
         del datapath.binding[decision.op_name]
         if snapshot["new_instance"]:
             del datapath.instances[instance_name]
+            del state.calendars[instance_name]
+            del state.sources[instance_name]
+        else:
+            state.calendars[instance_name].remove(decision.start_time)
+            sources = state.sources[instance_name] = set()
+            for op in instance.bound_ops:
+                sources.update(cdfg.predecessors(op))
 
         for cycle in range(decision.start_time, decision.start_time + decision.module.latency):
             profile[cycle] -= decision.module.power

@@ -39,10 +39,12 @@ from repro.scheduling.list_scheduler import (
 from repro.scheduling.mobility import WindowCache, compute_windows
 from repro.scheduling.palap import palap_schedule
 from repro.scheduling.pasap import pasap_schedule
+from repro.scheduling.pasap import PowerInfeasibleError
 from repro.scheduling.two_step import two_step_schedule
 from repro.suite.generators import GeneratorConfig, random_cdfg
 from repro.suite.registry import build_benchmark
 from repro.synthesis.engine import synthesize
+from repro.synthesis.result import SynthesisError
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -52,11 +54,28 @@ with open(os.path.join(HERE, "golden_schedules.json")) as _handle:
 with open(os.path.join(HERE, "golden_exact.json")) as _handle:
     GOLDEN_EXACT = json.load(_handle)
 
+with open(os.path.join(HERE, "golden_engine.json")) as _handle:
+    GOLDEN_ENGINE = json.load(_handle)
+
 #: Mirrors GRAPH_CASES in generate_goldens.py.
 RANDOM_SEEDS = {"random20": (20, 7), "random30": (30, 13)}
 
 
 def build_case(case: str):
+    if case.startswith("scal"):
+        # bench_scalability.py's layered graph of that many operations.
+        operations = int(case[len("scal"):])
+        return random_cdfg(
+            GeneratorConfig(
+                operations=operations,
+                inputs=4,
+                levels=max(3, operations // 6),
+                mul_fraction=0.3,
+                sub_fraction=0.2,
+                outputs=3,
+                seed=operations,
+            )
+        )
     if case in RANDOM_SEEDS:
         operations, seed = RANDOM_SEEDS[case]
         return random_cdfg(
@@ -195,6 +214,69 @@ class TestGoldenSchedules:
         )
         assert result.schedule.start_times == entry["engine"]["start_times"]
         assert result.area.total == entry["engine"]["area"]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ENGINE["engine"]))
+def test_engine_case_identical(case, library):
+    """Larger graphs and a backtracking corner: the whole decision trace."""
+    entry = GOLDEN_ENGINE["engine"][case]
+    result = synthesize(
+        build_case(entry["graph"]), library, entry["latency"], entry["power"]
+    )
+    assert result.schedule.start_times == entry["start_times"]
+    assert result.area.total == entry["area"]
+    assert result.backtracks == entry["backtracks"]
+    assert result.datapath.binding == entry["binding"]
+    assert result.trace == entry["trace"]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    GOLDEN_ENGINE["errors"],
+    ids=lambda e: f"{e['graph']}-T{e['latency']}-P{e['power']:g}",
+)
+def test_engine_error_text_identical(entry, library):
+    with pytest.raises(SynthesisError) as caught:
+        synthesize(build_case(entry["graph"]), library, entry["latency"], entry["power"])
+    assert type(caught.value).__name__ == entry["error"]
+    assert str(caught.value) == entry["message"]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ENGINE["locked_windows"]))
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "fresh"])
+def test_windows_under_growing_locks_identical(case, cached, library):
+    """compute_windows after each of a series of one-operation locks."""
+    entry = GOLDEN_ENGINE["locked_windows"][case]
+    cdfg = build_case(entry["graph"])
+    delays, powers = min_power_maps(cdfg, library)
+    power = (
+        PowerConstraint.unbounded()
+        if entry["power"] is None
+        else PowerConstraint(entry["power"])
+    )
+    time = TimeConstraint(entry["latency"])
+    cache = WindowCache() if cached else None
+    compute_windows(cdfg, delays, powers, power, time, cache=cache)
+    locked = {}
+    for step in entry["steps"]:
+        name, start = step["lock"]
+        locked[name] = start
+        if "error" in step:
+            with pytest.raises(PowerInfeasibleError) as caught:
+                compute_windows(cdfg, delays, powers, power, time, locked=locked, cache=cache)
+            assert str(caught.value) == step["error"]
+            break
+        windows = compute_windows(
+            cdfg, delays, powers, power, time, locked=locked, cache=cache
+        )
+        assert windows.pasap_starts == step["pasap"]
+        assert windows.palap_starts == step["palap"]
+        for op in cdfg.operation_names():
+            window = windows[op]
+            if op in locked:
+                assert window.earliest == window.latest == locked[op]
+            else:
+                assert [window.earliest, window.latest] == [step["pasap"][op], step["palap"][op]]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_EXACT))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ir.cdfg import CDFG
 from repro.ir.operation import OpType
 from repro.scheduling.constraints import PowerConstraint, SynthesisConstraints, TimeConstraint
 from repro.synthesis.engine import EngineOptions, PowerConstrainedSynthesizer, synthesize
@@ -65,6 +66,12 @@ class TestBasicContracts:
         second = synthesize(hal, library, latency=17, max_power=12.0)
         assert first.total_area == second.total_area
         assert first.schedule.start_times == second.schedule.start_times
+
+    def test_empty_graph_gives_an_empty_datapath(self, library):
+        constraints = SynthesisConstraints(TimeConstraint(5), PowerConstraint(10.0))
+        result = PowerConstrainedSynthesizer(library, constraints).synthesize(CDFG("empty"))
+        assert result.total_area == 0
+        assert result.datapath.instances == {}
 
 
 class TestModuleSelection:
