@@ -16,6 +16,12 @@ benchmark records both trajectories over the benchmark suite:
   returns certified optima, which is the crossover the subsystem exists
   for.
 
+Each ILP test also reports, in its ``extra_info``, where one extra
+(untimed) solve spends its time: building the model, preparing the
+constraint matrix (the solve-wide conversion plus every node's tableau),
+simplex phases 1 and 2, and the branch-and-bound bookkeeping around them
+(branching, bound dicts, result assembly).
+
 Record a run into the benchmark history with::
 
     python benchmarks/record.py --bench bench_ilp_vs_exact \
@@ -23,6 +29,8 @@ Record a run into the benchmark history with::
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -32,6 +40,7 @@ from repro.library.selection import (
     selection_delays,
     selection_powers,
 )
+from repro.lp import formulation, simplex
 from repro.lp.formulation import ilp_schedule
 from repro.scheduling.constraints import PowerConstraint
 from repro.scheduling.exact import minimum_latency_under_power
@@ -57,6 +66,43 @@ LARGE_CASES = {
 }
 
 
+#: Stage -> the functions whose time it sums.
+STAGES = {
+    "model_build_s": [(formulation, "build_schedule_model")],
+    "matrix_prepare_s": [
+        (simplex.PreparedProgram, "__init__"),
+        (simplex._Tableau, "__init__"),
+    ],
+    "phase1_s": [(simplex._Tableau, "phase_one")],
+    "phase2_s": [(simplex._Tableau, "phase_two")],
+    "solve_s": [(formulation, "solve_model")],
+}
+
+
+def stage_times(monkeypatch, call) -> dict:
+    """Seconds per ILP stage of one ``call()``, for ``extra_info``."""
+    totals = dict.fromkeys(STAGES, 0.0)
+    for stage, targets in STAGES.items():
+        for owner, name in targets:
+            original = getattr(owner, name)
+
+            def timed(*args, _original=original, _stage=stage, **kwargs):
+                started = time.perf_counter()
+                try:
+                    return _original(*args, **kwargs)
+                finally:
+                    totals[_stage] += time.perf_counter() - started
+
+            monkeypatch.setattr(owner, name, timed)
+    call()
+    monkeypatch.undo()
+    solve = totals.pop("solve_s")
+    totals["bookkeeping_s"] = solve - sum(
+        totals[stage] for stage in ("matrix_prepare_s", "phase1_s", "phase2_s")
+    )
+    return totals
+
+
 def make_case(case: str, library):
     cdfg = build_benchmark(case)
     selection = MinPowerSelection().select(cdfg, library)
@@ -80,15 +126,12 @@ def test_exact_on_shared_sizes(case, benchmark, library):
 
 
 @pytest.mark.parametrize("case", sorted(SHARED_CASES))
-def test_ilp_on_shared_sizes(case, benchmark, library):
+def test_ilp_on_shared_sizes(case, benchmark, library, monkeypatch):
     latency, power, cap = SHARED_CASES[case]
     cdfg, delays, powers = make_case(case, library)
-    schedule = benchmark.pedantic(
-        ilp_schedule,
-        args=(cdfg, delays, powers, PowerConstraint(power), latency),
-        rounds=3,
-        iterations=1,
-    )
+    args = (cdfg, delays, powers, PowerConstraint(power), latency)
+    schedule = benchmark.pedantic(ilp_schedule, args=args, rounds=3, iterations=1)
+    benchmark.extra_info.update(stage_times(monkeypatch, lambda: ilp_schedule(*args)))
     # The measured agreement invariant: both exact engines return the
     # same optimum on every shared size.
     optimum = minimum_latency_under_power(
@@ -103,15 +146,12 @@ def test_ilp_on_shared_sizes(case, benchmark, library):
 
 
 @pytest.mark.parametrize("case", sorted(LARGE_CASES))
-def test_ilp_beyond_the_cap(case, benchmark, library):
+def test_ilp_beyond_the_cap(case, benchmark, library, monkeypatch):
     slack, power = LARGE_CASES[case]
     cdfg, delays, powers = make_case(case, library)
     latency = critical_path_length(cdfg, delays) + slack
-    schedule = benchmark.pedantic(
-        ilp_schedule,
-        args=(cdfg, delays, powers, PowerConstraint(power), latency),
-        rounds=3,
-        iterations=1,
-    )
+    args = (cdfg, delays, powers, PowerConstraint(power), latency)
+    schedule = benchmark.pedantic(ilp_schedule, args=args, rounds=3, iterations=1)
+    benchmark.extra_info.update(stage_times(monkeypatch, lambda: ilp_schedule(*args)))
     assert schedule.metadata["optimal_makespan"] <= latency
     assert schedule.respects_precedence()

@@ -4,7 +4,9 @@
 integer-programming solver:
 
 * **depth-first search** with per-node bound-override dicts — the shared
-  :class:`~repro.lp.model.LinearProgram` is never copied;
+  :class:`~repro.lp.model.LinearProgram` is never copied, and its
+  constraint matrix is converted to tableau form once per solve
+  (:class:`~repro.lp.simplex.PreparedProgram`), not once per node;
 * **group branching**: time-indexed scheduling models are stacks of
   SOS1-style rows (one start cycle per operation), and splitting an
   operation's window at the fractional mean start prunes far better than
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import LinearProgram
-from .simplex import INFEASIBLE, OPTIMAL, SimplexSolution, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, PreparedProgram, SimplexSolution
 
 #: Branch-and-bound statuses (a superset of the LP statuses).
 LIMIT = "limit"
@@ -51,7 +53,9 @@ class BranchBoundResult:
         values: The best integer assignment (indexed like
             ``program.variables``).
         nodes: Branch-and-bound nodes solved.
-        iterations: Total simplex iterations across all nodes.
+        iterations: Total simplex iterations across all nodes (each
+            node's pivots and bound flips plus one final pricing round
+            per simplex phase; see :class:`SimplexSolution`).
     """
 
     status: str
@@ -189,6 +193,7 @@ def solve_milp(
         proof that no integer point satisfies the constraints.
     """
     integers = program.integer_variables()
+    prepared = PreparedProgram(program)
     incumbent: Optional[List[Fraction]] = None
     incumbent_objective: Optional[Fraction] = None
     nodes = 0
@@ -202,7 +207,7 @@ def solve_milp(
             break
         bounds = stack.pop()
         nodes += 1
-        relaxation: SimplexSolution = solve_lp(program, bounds or None)
+        relaxation: SimplexSolution = prepared.solve(bounds)
         iterations += relaxation.iterations
         if relaxation.status == INFEASIBLE:
             continue

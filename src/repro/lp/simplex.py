@@ -17,17 +17,17 @@
   for speed and switches to Bland's rule after a run of degenerate
   pivots, which guarantees termination.
 
-The tableau is kept sparse (one dict per row) and fully reduced: the
-basic column of each row is a unit column, so pricing reads reduced
-costs straight off the objective row.
-
-Internally every number is a gcd-reduced ``(numerator, denominator)``
-pair of plain ints with the denominator positive, and the hot loops
-inline the rational arithmetic.  :class:`fractions.Fraction` would give
-identical answers, but its operator dispatch and re-normalization are
-roughly an order of magnitude slower — the difference between the
-branch-and-bound clearing a fuzz campaign in seconds and in hours.
-Fractions appear only at the public boundary (:class:`SimplexSolution`).
+The tableau is kept sparse and fully reduced: each row, the objective
+row included, is a dict of ``int`` numerators over one positive ``int``
+row denominator, and a basic column's numerator equals its row's
+denominator (a unit column).  Eliminating with a pivot row is a
+multiply-subtract per entry with no per-entry ``gcd``; only when the
+pivot row's denominator does not divide the factor is the row rescaled,
+and then one ``gcd`` call reduces the whole row.  Pricing compares
+numerators and the ratio test cross-multiplies, so every choice is the
+one a tableau of reduced fractions would make.  Fixed variables never
+enter, so their columns are left out.  :class:`fractions.Fraction`, an
+order of magnitude slower, appears only at the public boundary.
 
 This module imports nothing outside the standard library.
 """
@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .model import EQUAL, GREATER, LESS, LinearProgram, LPError
+from .model import GREATER, LESS, LinearProgram, LPError
 
 #: Solution statuses.
 OPTIMAL = "optimal"
@@ -48,57 +48,53 @@ UNBOUNDED = "unbounded"
 
 #: Consecutive degenerate pivots tolerated before switching to Bland's rule.
 _DEGENERATE_LIMIT = 40
-
-#: Hard iteration safety valve (never hit by well-posed models; turns a
-#: would-be hang into a loud error).
+#: Hard iteration safety valve: a would-be hang becomes a loud error.
 _MAX_ITERATIONS = 500_000
 
 #: A rational as a reduced (numerator, denominator > 0) pair.
 Rat = Tuple[int, int]
-
+#: One tableau row: variable -> numerator over the row's denominator.
+Row = Dict[int, int]
 _R_ZERO: Rat = (0, 1)
-_R_ONE: Rat = (1, 1)
+Bounds = Mapping[int, Tuple[Fraction, Optional[Fraction]]]
 
 
 def _reduce(num: int, den: int) -> Rat:
-    if den < 0:
-        num, den = -num, -den
     g = gcd(num, den)
-    if g > 1:
-        return (num // g, den // g)
-    return (num, den)
+    return (num // g, den // g) if g > 1 else (num, den)
 
 
-def _from_fraction(value: Fraction) -> Rat:
-    return (value.numerator, value.denominator)
+def _integer_row(values: Mapping[int, Fraction]) -> Tuple[Row, int]:
+    """``values`` as int numerators over their least common denominator."""
+    terms = [(index, value.numerator, value.denominator) for index, value in values.items()]
+    den = lcm(*(d for _, _, d in terms))
+    return {index: n * (den // d) for index, n, d in terms if n}, den
 
 
-def _to_fraction(value: Rat) -> Fraction:
-    return Fraction(value[0], value[1])
+def _eliminate(row: Row, den: int, factor: int, pivot: List[Tuple[int, int]],
+               pivot_den: int) -> Tuple[Row, int]:
+    """``row/den - (factor/den) * pivot/pivot_den`` as a (row, den) pair.
 
-
-def _r_add(a: Rat, b: Rat) -> Rat:
-    an, ad = a
-    bn, bd = b
-    return _reduce(an * bd + bn * ad, ad * bd)
-
-
-def _r_sub(a: Rat, b: Rat) -> Rat:
-    an, ad = a
-    bn, bd = b
-    return _reduce(an * bd - bn * ad, ad * bd)
-
-
-def _r_mul(a: Rat, b: Rat) -> Rat:
-    return _reduce(a[0] * b[0], a[1] * b[1])
-
-
-def _r_div(a: Rat, b: Rat) -> Rat:
-    return _reduce(a[0] * b[1], a[1] * b[0])
-
-
-def _r_lt(a: Rat, b: Rat) -> bool:
-    return a[0] * b[1] < b[0] * a[1]
+    Rescales (and then gcd-reduces) the row only when ``pivot_den`` does
+    not divide ``factor``; otherwise it updates ``row`` in place.
+    """
+    g = gcd(factor, pivot_den)
+    scale, factor = pivot_den // g, factor // g
+    if scale != 1:
+        row = {index: value * scale for index, value in row.items()}
+        den *= scale
+    for index, value in pivot:
+        value = row.get(index, 0) - factor * value
+        if value:
+            row[index] = value
+        else:
+            del row[index]
+    if scale != 1:
+        g = gcd(den, *row.values())
+        if g > 1:
+            row = {index: value // g for index, value in row.items()}
+            den //= g
+    return row, den
 
 
 @dataclass
@@ -110,7 +106,9 @@ class SimplexSolution:
         objective: Exact optimal objective value (``None`` unless optimal).
         values: Exact value per *structural* variable (``None`` unless
             optimal), indexed like ``program.variables``.
-        iterations: Simplex pivots/bound-flips performed across both phases.
+        iterations: Simplex iterations across both phases: every pivot
+            and bound flip, plus each phase's final pricing round (the
+            one that proves it optimal or unbounded).
     """
 
     status: str
@@ -123,82 +121,134 @@ class SimplexSolution:
         return self.status == OPTIMAL
 
 
-class _Infeasible(Exception):
-    """Internal: bound overrides produced an empty box."""
+class PreparedProgram:
+    """A program's constraint matrix in tableau form, built once.
+
+    Holds each row as int numerators over a row denominator, so the
+    branch-and-bound solves every node from one conversion of the
+    program's ``Fraction`` data.  :meth:`solve` never mutates it.
+    """
+
+    def __init__(self, program: LinearProgram) -> None:
+        self.program = program
+        variables = program.variables
+        self.lower: List[Rat] = [(v.lower.numerator, v.lower.denominator) for v in variables]
+        self.upper: List[Optional[Rat]] = [
+            None if v.upper is None else (v.upper.numerator, v.upper.denominator)
+            for v in variables
+        ]
+        self.fixed = frozenset(
+            index for index, bounds in enumerate(zip(self.lower, self.upper))
+            if bounds[0] == bounds[1]
+        )
+        self.rows: List[Row] = []
+        self.dens: List[int] = []
+        self.senses: List[str] = []
+        self.residuals: List[Rat] = []  # each row's rhs minus its terms at the lower bounds
+        lifted = {i: variables[i].lower for i, low in enumerate(self.lower) if low[0]}
+        for constraint in program.constraints:
+            merged = dict(constraint.coefficients)
+            if len(merged) < len(constraint.coefficients):  # repeated variables add up
+                merged = dict.fromkeys(merged, Fraction(0))
+                for index, coefficient in constraint.coefficients:
+                    merged[index] += coefficient
+            residual = constraint.rhs
+            for index in lifted.keys() & merged.keys():
+                residual -= merged[index] * lifted[index]
+            row, den = _integer_row(merged)
+            self.rows.append(row)
+            self.dens.append(den)
+            self.senses.append(constraint.sense)
+            self.residuals.append((residual.numerator, residual.denominator))
+        self.objective = _integer_row(program.objective)
+
+    def solve(self, bounds: Optional[Bounds] = None) -> SimplexSolution:
+        """Solve the relaxation under per-variable ``(lower, upper)`` overrides."""
+        bounds = bounds or {}
+        for index, (low, up) in bounds.items():
+            if not 0 <= index < len(self.lower):
+                raise LPError(f"bound override for unknown variable {index}")
+            if up is not None and up < low:
+                return SimplexSolution(status=INFEASIBLE)  # an empty box
+        tableau = _Tableau(self, bounds)
+        if tableau.artificials and not tableau.phase_one():
+            return SimplexSolution(status=INFEASIBLE, iterations=tableau.iterations)
+        if tableau.phase_two(*self.objective) == UNBOUNDED:
+            return SimplexSolution(status=UNBOUNDED, iterations=tableau.iterations)
+        values = [Fraction(*tableau.value_of(index)) for index in range(len(self.lower))]
+        return SimplexSolution(
+            status=OPTIMAL,
+            objective=self.program.evaluate_objective(values),
+            values=values,
+            iterations=tableau.iterations,
+        )
 
 
 class _Tableau:
-    """Sparse reduced tableau with bounded variables (all entries Rat)."""
+    """Sparse reduced tableau with bounded variables over integer rows."""
 
-    def __init__(
-        self,
-        program: LinearProgram,
-        overrides: Optional[Mapping[int, Tuple[Fraction, Optional[Fraction]]]],
-    ) -> None:
-        self.structural = len(program.variables)
-        self.lower: List[Rat] = []
-        self.upper: List[Optional[Rat]] = []
-        for index, variable in enumerate(program.variables):
-            low, up = variable.lower, variable.upper
-            if overrides is not None and index in overrides:
-                low, up = overrides[index]
-            if up is not None and up < low:
-                raise _Infeasible()
-            self.lower.append(_from_fraction(low))
-            self.upper.append(_from_fraction(up) if up is not None else None)
+    def __init__(self, prepared: PreparedProgram, overrides: Bounds) -> None:
+        self.lower: List[Rat] = list(prepared.lower)
+        self.upper: List[Optional[Rat]] = list(prepared.upper)
+        residuals = list(prepared.residuals)
+        # A fixed variable never enters the basis: its column is left out
+        # of the rows (its value is already in the residuals).
+        fixed = (prepared.fixed - overrides.keys()) | {
+            index for index, (low, up) in overrides.items() if up == low
+        }
+        for index, (low, up) in overrides.items():
+            self.upper[index] = None if up is None else (up.numerator, up.denominator)
+            base_n, base_d = self.lower[index]
+            low_n, low_d = low.numerator, low.denominator
+            self.lower[index] = (low_n, low_d)
+            shift_n, shift_d = low_n * base_d - base_n * low_d, low_d * base_d
+            for i, row in enumerate(prepared.rows) if shift_n else ():
+                if index not in row:
+                    continue
+                value, (rn, rd), den = row[index], residuals[i], prepared.dens[i] * shift_d
+                residuals[i] = _reduce(rn * den - value * shift_n * rd, rd * den)
 
-        # Nonbasic rest position: True = at upper bound.
-        self.at_upper: List[bool] = [False] * self.structural
-        self.rows: List[Dict[int, Rat]] = []
+        self.at_upper: List[bool] = [False] * len(self.lower)  # nonbasic at its upper bound
+        self.rows: List[Row] = []
+        self.dens: List[int] = list(prepared.dens)
         self.basis: List[int] = []
         self.artificials: List[int] = []
         #: variable -> row it is basic in, or -1.
-        self.basic_row: List[int] = [-1] * self.structural
+        self.basic_row: List[int] = [-1] * len(self.lower)
         #: Current value of each row's basic variable, maintained
         #: incrementally across pivots and bound flips.
-        self.xB: List[Rat] = []
+        self.xB: List[Rat] = residuals
         self.iterations = 0
         self._degenerate_run = 0
         self._bland = False
+        self.cost, self.cost_den = {}, 1
 
-        for constraint in program.constraints:
-            row: Dict[int, Rat] = {}
-            residual = _from_fraction(constraint.rhs)
-            for index, coefficient in constraint.coefficients:
-                value = _from_fraction(coefficient)
-                if index in row:
-                    value = _r_add(row[index], value)
-                row[index] = value
-                rest = self._rest_value(index)
-                if rest[0]:
-                    residual = _r_sub(residual, _r_mul(value, rest))
+        for i, sense in enumerate(prepared.senses):
+            row = {index: v for index, v in prepared.rows[i].items() if index not in fixed}
+            den = self.dens[i]
             slack: Optional[int] = None
-            if constraint.sense in (LESS, GREATER):
-                slack = self._new_variable(_R_ZERO, None)
-                row[slack] = _R_ONE if constraint.sense == LESS else (-1, 1)
-            if residual[0] < 0:
+            if sense in (LESS, GREATER):
+                slack = self._new_variable()
+                row[slack] = den if sense == LESS else -den
+            if residuals[i][0] < 0:
                 # Flip the whole row so the starting basic value (the
                 # residual) is non-negative.
-                row = {index: (-n, d) for index, (n, d) in row.items()}
-                residual = (-residual[0], residual[1])
-            if slack is not None and row[slack] == _R_ONE:
+                row = {index: -value for index, value in row.items()}
+                residuals[i] = (-residuals[i][0], residuals[i][1])
+            if slack is not None and row[slack] == den:
                 basic = slack
             else:
-                basic = self._new_variable(_R_ZERO, None)
-                row[basic] = _R_ONE
+                basic = self._new_variable()
+                row[basic] = den
                 self.artificials.append(basic)
             self.rows.append(row)
             self.basis.append(basic)
-            self.basic_row[basic] = len(self.rows) - 1
-            self.xB.append(residual)
+            self.basic_row[basic] = i
 
-    # ------------------------------------------------------------------ #
-    # Helpers
-    # ------------------------------------------------------------------ #
-    def _new_variable(self, lower: Rat, upper: Optional[Rat]) -> int:
+    def _new_variable(self) -> int:
         index = len(self.lower)
-        self.lower.append(lower)
-        self.upper.append(upper)
+        self.lower.append(_R_ZERO)
+        self.upper.append(None)
         self.at_upper.append(False)
         self.basic_row.append(-1)
         return index
@@ -211,37 +261,49 @@ class _Tableau:
         row = self.basic_row[index]
         return self.xB[row] if row >= 0 else self._rest_value(index)
 
-    def reduced_objective(self, objective: Mapping[int, Rat]) -> Dict[int, Rat]:
-        """The objective row with every basic column eliminated."""
-        reduced = {index: value for index, value in objective.items() if value[0]}
+    def set_cost(self, cost: Row, den: int) -> None:
+        """Install an objective row with every basic column eliminated."""
+        self.cost, self.cost_den = dict(cost), den
         for i, basic in enumerate(self.basis):
-            factor = reduced.get(basic)
-            if factor is None or not factor[0]:
-                continue
-            fn, fd = factor
-            for index, (cn, cd) in self.rows[i].items():
-                on, od = reduced.get(index, _R_ZERO)
-                num = on * fd * cd - fn * cn * od
-                if num:
-                    reduced[index] = _reduce(num, od * fd * cd)
-                else:
-                    reduced.pop(index, None)
-        return reduced
+            factor = self.cost.get(basic)
+            if factor:
+                self.cost, self.cost_den = _eliminate(
+                    self.cost, self.cost_den, factor, list(self.rows[i].items()), self.dens[i]
+                )
 
-    # ------------------------------------------------------------------ #
-    # The simplex loop
-    # ------------------------------------------------------------------ #
-    def optimize(self, objective: Dict[int, Rat]) -> str:
-        """Minimize over the current basis; returns OPTIMAL or UNBOUNDED."""
+    def phase_one(self) -> bool:
+        """Minimize the sum of artificials; ``False`` proves infeasibility."""
+        self.set_cost(dict.fromkeys(self.artificials, 1), 1)
+        if self.optimize() != OPTIMAL:  # pragma: no cover - sum of artificials is bounded
+            raise LPError("phase-1 objective cannot be unbounded")
+        if any(self.value_of(index)[0] for index in self.artificials):
+            return False
+        # Pin every artificial at zero so phase 2 can never re-use them,
+        # and drop the columns of those already out of the basis.
+        for index in self.artificials:
+            self.upper[index] = _R_ZERO
+            self.at_upper[index] = False
+        pinned = {index for index in self.artificials if self.basic_row[index] < 0}
+        self.rows = [{i: v for i, v in row.items() if i not in pinned} for row in self.rows]
+        return True
+
+    def phase_two(self, cost: Row, den: int) -> str:
+        """Minimize the program's objective; returns OPTIMAL or UNBOUNDED."""
+        self.set_cost(cost, den)
+        return self.optimize()
+
+    def optimize(self) -> str:
+        """Minimize the installed cost row; returns OPTIMAL or UNBOUNDED."""
         while True:
             self.iterations += 1
             if self.iterations > _MAX_ITERATIONS:  # pragma: no cover - safety valve
                 raise LPError("simplex iteration limit exceeded")
-            entering = self._price(objective)
+            entering = self._price()
             if entering is None:
                 return OPTIMAL
+            column = [(i, row[entering]) for i, row in enumerate(self.rows) if entering in row]
             direction = -1 if self.at_upper[entering] else 1
-            step, limiting = self._ratio_test(entering, direction)
+            step, limiting = self._ratio_test(entering, direction, column)
             if step is None:
                 return UNBOUNDED
             if self._bland and step[0]:
@@ -257,48 +319,36 @@ class _Tableau:
             if limiting is None:
                 # Bound flip: the entering variable crosses its own box.
                 self.at_upper[entering] = not self.at_upper[entering]
-                if delta[0]:
-                    dn, dd = delta
-                    for i, row in enumerate(self.rows):
-                        coefficient = row.get(entering)
-                        if coefficient is not None:
-                            cn, cd = coefficient
-                            bn, bd = self.xB[i]
-                            self.xB[i] = _reduce(bn * cd * dd - cn * dn * bd, bd * cd * dd)
+                self._shift(column, delta, -1)
                 continue
-            self._pivot(entering, delta, limiting, objective)
+            self._pivot(entering, delta, limiting, column)
 
-    def _price(self, objective: Dict[int, Rat]) -> Optional[int]:
+    def _price(self) -> Optional[int]:
         best: Optional[int] = None
-        best_score = _R_ZERO
-        for index, cost in objective.items():
+        best_score = 0
+        for index, cost in self.cost.items():
             if self.basic_row[index] >= 0:
                 continue
             lower, upper = self.lower[index], self.upper[index]
             if upper is not None and upper == lower:
                 continue  # fixed variable can never move
-            at_upper = self.at_upper[index] and upper is not None
-            if at_upper:
-                if cost[0] <= 0:
+            if self.at_upper[index] and upper is not None:
+                if cost <= 0:
                     continue
                 score = cost
             else:
-                if cost[0] >= 0:
+                if cost >= 0:
                     continue
-                score = (-cost[0], cost[1])
+                score = -cost
             if self._bland:
-                if best is None or index < best:
-                    best = index
-                    best_score = score
-            elif _r_lt(best_score, score) or (
-                score == best_score and (best is None or index < best)
-            ):
+                best = index if best is None else min(best, index)
+            elif score > best_score or (score == best_score and index < best):
                 best = index
                 best_score = score
         return best
 
     def _ratio_test(
-        self, entering: int, direction: int
+        self, entering: int, direction: int, column: List[Tuple[int, int]]
     ) -> Tuple[Optional[Rat], Optional[int]]:
         """Largest feasible step for the entering variable.
 
@@ -307,99 +357,87 @@ class _Tableau:
         bound flip), and ``step`` is ``None`` when nothing binds at all
         (the LP is unbounded in this direction).
         """
-        step: Optional[Rat] = None
+        step_n = step_d = 0
         limiting: Optional[int] = None
         span_upper = self.upper[entering]
         if span_upper is not None:
-            step = _r_sub(span_upper, self.lower[entering])
-        for i, row in enumerate(self.rows):
-            coefficient = row.get(entering)
-            if coefficient is None or not coefficient[0]:
-                continue
+            (un, ud), (ln, ld) = span_upper, self.lower[entering]
+            step_n, step_d = un * ld - ln * ud, ud * ld
+        for i, value in column:
             # d(basic_i)/d(step) = -coefficient * direction
-            rising = (coefficient[0] < 0) if direction > 0 else (coefficient[0] > 0)
             basic = self.basis[i]
-            if rising:
+            bn, bd = self.xB[i]
+            if (value < 0) if direction > 0 else (value > 0):
                 bound = self.upper[basic]
                 if bound is None:
                     continue
-                allowance = _r_sub(bound, self.xB[i])
+                an, ad = bound[0] * bd - bn * bound[1], bound[1] * bd
             else:
-                allowance = _r_sub(self.xB[i], self.lower[basic])
-            rate = (abs(coefficient[0]), coefficient[1])
-            candidate = _r_div(allowance, rate)
-            if step is None or _r_lt(candidate, step):
-                step = candidate
+                low_n, low_d = self.lower[basic]
+                an, ad = bn * low_d - low_n * bd, bd * low_d
+            # allowance / |value / den|, compared by cross-multiplication.
+            cand_n, cand_d = an * self.dens[i], ad * abs(value)
+            if not step_d or cand_n * step_d < step_n * cand_d:
+                step_n, step_d = cand_n, cand_d
                 limiting = i
-            elif candidate == step and limiting is not None:
+            elif limiting is not None and cand_n * step_d == step_n * cand_d:
                 # Bland tie-break on the leaving variable: smallest index.
-                if self.basis[i] < self.basis[limiting]:
+                if basic < self.basis[limiting]:
                     limiting = i
-        return step, limiting
+        if not step_d:
+            return None, None
+        return _reduce(step_n, step_d), limiting
+
+    def _shift(self, column: List[Tuple[int, int]], delta: Rat, skip: int) -> None:
+        """Move every basic value for an entering move of ``delta``."""
+        dn, dd = delta
+        if not dn:
+            return
+        xB, dens = self.xB, self.dens
+        for i, value in column:
+            if i != skip:
+                bn, bd = xB[i]
+                den = dens[i] * dd
+                xB[i] = _reduce(bn * den - value * dn * bd, bd * den)
 
     def _pivot(
-        self,
-        entering: int,
-        delta: Rat,
-        limiting: int,
-        objective: Dict[int, Rat],
+        self, entering: int, delta: Rat, limiting: int, column: List[Tuple[int, int]]
     ) -> None:
         leaving = self.basis[limiting]
         pivot_row = self.rows[limiting]
         pivot = pivot_row[entering]
         # Which of its bounds did the leaving variable hit?
         if delta[0]:
-            self.at_upper[leaving] = (pivot[0] * delta[0]) < 0
+            self.at_upper[leaving] = (pivot * delta[0]) < 0
         else:
             self.at_upper[leaving] = self.xB[limiting] == self.upper[leaving]
         self.basic_row[leaving] = -1
 
         # Update every basic value for the entering variable's move, then
         # install the entering variable as the limiting row's basic.
-        entering_value = _r_add(self._rest_value(entering), delta)
-        if delta[0]:
-            dn, dd = delta
-            for i, row in enumerate(self.rows):
-                if i == limiting:
-                    continue
-                coefficient = row.get(entering)
-                if coefficient is not None:
-                    cn, cd = coefficient
-                    bn, bd = self.xB[i]
-                    self.xB[i] = _reduce(bn * cd * dd - cn * dn * bd, bd * cd * dd)
+        rest_n, rest_d = self._rest_value(entering)
+        entering_value = _reduce(rest_n * delta[1] + delta[0] * rest_d, rest_d * delta[1])
+        self._shift(column, delta, limiting)
         self.xB[limiting] = entering_value
 
-        if pivot != _R_ONE:
+        if pivot != self.dens[limiting]:
             # Normalize the pivot row so the entering column is 1.
-            pn, pd = pivot
-            self.rows[limiting] = pivot_row = {
-                index: _reduce(n * pd, d * pn) for index, (n, d) in pivot_row.items()
-            }
+            g = gcd(pivot, *pivot_row.values()) * (1 if pivot > 0 else -1)
+            if g != 1:
+                pivot_row = {index: value // g for index, value in pivot_row.items()}
+            self.rows[limiting], self.dens[limiting] = pivot_row, pivot // g
         pivot_items = list(pivot_row.items())
-        for i, row in enumerate(self.rows):
-            if i == limiting:
-                continue
-            factor = row.get(entering)
-            if factor is None or not factor[0]:
-                continue
-            fn, fd = factor
-            for index, (pn, pd) in pivot_items:
-                cn, cd = row.get(index, _R_ZERO)
-                num = cn * fd * pd - fn * pn * cd
-                if num:
-                    row[index] = _reduce(num, cd * fd * pd)
-                else:
-                    row.pop(index, None)
-        factor = objective.get(entering)
-        if factor is not None and factor[0]:
-            fn, fd = factor
-            for index, (pn, pd) in pivot_items:
-                cn, cd = objective.get(index, _R_ZERO)
-                num = cn * fd * pd - fn * pn * cd
-                if num:
-                    objective[index] = _reduce(num, cd * fd * pd)
-                else:
-                    objective.pop(index, None)
+        pivot_den = self.dens[limiting]
+        for i, factor in column:
+            if i != limiting:
+                self.rows[i], self.dens[i] = _eliminate(
+                    self.rows[i], self.dens[i], factor, pivot_items, pivot_den
+                )
+        factor = self.cost.get(entering)
+        if factor:
+            self.cost, self.cost_den = _eliminate(
+                self.cost, self.cost_den, factor, pivot_items, pivot_den
+            )
         self.basis[limiting] = entering
         self.basic_row[entering] = limiting
 
@@ -414,49 +452,11 @@ def solve_lp(
         program: The model (integrality flags are ignored here — that is
             :func:`repro.lp.branch_bound.solve_milp`'s job).
         bounds: Optional per-variable ``(lower, upper)`` overrides, the
-            mechanism branch-and-bound uses to explore subproblems
-            without copying the program.
+            mechanism branch-and-bound uses (via :class:`PreparedProgram`)
+            to explore subproblems without copying the program.
 
     Returns:
         A :class:`SimplexSolution`.  ``status`` is exact: ``infeasible``
         and ``unbounded`` are proofs, not tolerance judgements.
     """
-    try:
-        tableau = _Tableau(program, bounds)
-    except _Infeasible:
-        return SimplexSolution(status=INFEASIBLE)
-
-    # Phase 1: minimize the sum of artificials down to zero.
-    if tableau.artificials:
-        phase_one = tableau.reduced_objective(
-            {index: _R_ONE for index in tableau.artificials}
-        )
-        status = tableau.optimize(phase_one)
-        if status != OPTIMAL:  # pragma: no cover - sum of artificials is bounded
-            raise LPError("phase-1 objective cannot be unbounded")
-        if any(tableau.value_of(index)[0] for index in tableau.artificials):
-            return SimplexSolution(status=INFEASIBLE, iterations=tableau.iterations)
-        # Pin every artificial at zero so phase 2 can never re-use them.
-        for index in tableau.artificials:
-            tableau.lower[index] = _R_ZERO
-            tableau.upper[index] = _R_ZERO
-            tableau.at_upper[index] = False
-
-    objective = tableau.reduced_objective(
-        {
-            index: _from_fraction(value)
-            for index, value in program.objective.items()
-        }
-    )
-    status = tableau.optimize(objective)
-    if status == UNBOUNDED:
-        return SimplexSolution(status=UNBOUNDED, iterations=tableau.iterations)
-    values = [
-        _to_fraction(tableau.value_of(index)) for index in range(tableau.structural)
-    ]
-    return SimplexSolution(
-        status=OPTIMAL,
-        objective=program.evaluate_objective(values),
-        values=values,
-        iterations=tableau.iterations,
-    )
+    return PreparedProgram(program).solve(bounds)

@@ -152,7 +152,9 @@ def random_program(seed: int) -> LinearProgram:
     point = []
     for index in range(count):
         draw = rng.random()
-        lower = Fraction(rng.randint(0, 4), rng.choice(DENOMINATORS)) if rng.random() < 0.3 else Fraction(0)
+        lower = Fraction(0)
+        if rng.random() < 0.3:
+            lower = Fraction(rng.randint(0, 4), rng.choice(DENOMINATORS))
         if draw < 0.15:
             upper: Optional[Fraction] = lower  # fixed
         elif draw < 0.45:

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
-from repro.lp.model import LESS, GREATER, EQUAL, LinearProgram
+import pytest
+
+from repro.lp.model import LESS, GREATER, EQUAL, LinearProgram, LPError
 from repro.lp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -109,3 +111,12 @@ def test_fixed_variables_are_honoured():
     lp.set_objective({y: -1})
     solution = solve_lp(lp)
     assert solution.values == [Fraction(3), Fraction(2)]
+
+
+def test_bound_override_for_an_unknown_variable_is_rejected():
+    lp = LinearProgram()
+    x = lp.add_variable("x", upper=10)
+    lp.set_objective({x: -1})
+    for index in (1, -1):
+        with pytest.raises(LPError):
+            solve_lp(lp, {index: (Fraction(0), Fraction(1))})
