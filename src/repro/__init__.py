@@ -108,7 +108,6 @@ from .store import (
     ResultStore,
     StoreQuery,
     StoredRow,
-    break_stale_claims,
     migrate_store,
     open_store,
     try_acquire,
@@ -138,7 +137,7 @@ from .lp import (
     solve_milp,
 )
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 #: Names resolved from :mod:`repro.serve` on first access (PEP 562).
 #: The serving layer registers no strategy, so deferring it leaves every
@@ -214,7 +213,6 @@ __all__ = [
     "migrate_store",
     "Claim",
     "try_acquire",
-    "break_stale_claims",
     "PortfolioConfig",
     "PortfolioOutcome",
     "PortfolioRunner",

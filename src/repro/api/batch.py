@@ -20,7 +20,6 @@ benchmark, one latency bound, many power budgets (one Figure-2 curve).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
@@ -238,10 +237,10 @@ def run_task(
     content address (:mod:`repro.store.claims`), and a caller that finds
     the claim held polls the store (uncounted ``peek``) until the
     holder's record appears — returned as a cache hit — or the holder
-    dies and its claim is broken.  Batches, sweeps, serve children and
-    race contenders sharing a cache directory therefore synthesize each
-    address once.  A read- or write-only cache, or a bare
-    ``get``/``put`` memo, takes no claim.
+    dies and the kernel frees its claim (see :func:`claim_or_wait`).
+    Batches, sweeps, serve children and race contenders sharing a cache
+    directory therefore synthesize each address once.  A read- or
+    write-only cache, or a bare ``get``/``put`` memo, takes no claim.
 
     A ``scheduler="portfolio"`` task dispatches to
     :func:`repro.portfolio.run_portfolio` after the cache check: the
@@ -270,26 +269,9 @@ def run_task(
     claim = None
     if use_cache:
         hit = cache.get(task)
-        if hit is None and getattr(cache, "read", False) and getattr(cache, "write", False):
-            # single-flight: take the store claim, or wait out its holder;
-            # lookups from here on are uncounted (the get above was this
-            # task's one lookup)
-            owner = f"pid-{os.getpid()}"
-            deadline = time.monotonic() + claims.CLAIM_TIMEOUT
-            while True:
-                claim = claims.try_acquire(cache.root, task.cache_key(), owner=owner)
-                # past the deadline, computing redundantly beats waiting on
-                if claim is not None or time.monotonic() > deadline:
-                    break
-                time.sleep(claims.CLAIM_POLL)
-                hit = cache.peek(task)
-                if hit is not None:
-                    return hit
-            # the holder may have filed the record between our miss and the acquire
-            hit = cache.peek(task)
+        if hit is None:
+            hit, claim = claim_or_wait(cache, task)
         if hit is not None:
-            if claim is not None:
-                claim.release()
             return hit
     try:
         record, cacheable = _synthesize(task, keep_result, pipeline, cdfg, library, cache, verify)
@@ -299,6 +281,38 @@ def run_task(
         if claim is not None:
             claim.release()
     return record
+
+
+def claim_or_wait(cache, task: SynthesisTask):
+    """Single-flight for a ``task`` that ``cache`` just missed.
+
+    Returns ``(hit, claim)``.  Takes the store claim on the task's
+    content address (:mod:`repro.store.claims`); while another process
+    holds it, polls the store (uncounted ``peek``) every
+    :data:`~repro.store.claims.CLAIM_POLL` seconds and returns the
+    holder's record as ``(hit, None)``.  A dead holder's claim is free
+    on the next attempt.  ``(None, claim)`` means compute, ``put``, then
+    release the claim.  ``(None, None)`` means compute unclaimed: the
+    cache is not both read and written, or
+    :data:`~repro.store.claims.CLAIM_TIMEOUT` passed.
+    """
+    if not (getattr(cache, "read", False) and getattr(cache, "write", False)):
+        return None, None
+    deadline = time.monotonic() + claims.CLAIM_TIMEOUT
+    while True:
+        claim = claims.try_acquire(cache.root, task.cache_key())
+        # past the deadline, computing redundantly beats waiting on
+        if claim is not None or time.monotonic() > deadline:
+            break
+        time.sleep(claims.CLAIM_POLL)
+        hit = cache.peek(task)
+        if hit is not None:
+            return hit, None
+    hit = cache.peek(task)
+    if hit is not None and claim is not None:
+        claim.release()
+        claim = None
+    return hit, claim
 
 
 def _synthesize(task, keep_result, pipeline, cdfg, library, cache, verify):

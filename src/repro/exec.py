@@ -16,12 +16,12 @@ runs the race (:class:`~repro.portfolio.executors.InlineExecutor`): it
 calls :func:`~repro.api.batch.run_task` and turns the outcome, or the
 error, into a dict that can cross a pipe.  The single-flight lives in
 ``run_task`` itself, for every caller alike: with a readable and
-writable cache, a miss is synthesized under the **store-level claim
-file** for the task's content address (:mod:`repro.store.claims`), a
-waiter polls the cache until the holder's record appears, and a dead
-holder's claim goes stale and is broken — so processes sharing a cache
-directory synthesize each address once and a SIGKILL never wedges a
-key.
+writable cache, a miss is synthesized under the **store-level claim**
+for the task's content address (:mod:`repro.store.claims`), a waiter
+polls the cache until the holder's record appears, and the kernel frees
+a dead holder's claim — so processes sharing a cache directory
+synthesize each address once and a SIGKILL never wedges a key.  A
+forked child does not inherit its parent's claims.
 
 Children are forked (POSIX) with every module they need already
 imported, or spawned where fork is unavailable.  They are not daemonic,

@@ -14,7 +14,7 @@ repository a *service* rather than a toolbox:
   *processes* (a :class:`~repro.exec.WorkerPool`), so CPU-bound
   synthesis scales past the GIL; a crashed child is detected, its job
   requeued, its slot respawned.  Single-flight is the store-level
-  claim file (:mod:`repro.store.claims`) that
+  claim (:mod:`repro.store.claims`, a kernel-held byte lock) that
   :func:`~repro.api.batch.run_task` takes, the same rule within one
   service and across *any* processes sharing a cache directory,
 * :class:`~repro.serve.http.SynthesisServer` / :func:`start_server` —

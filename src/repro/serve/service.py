@@ -29,7 +29,7 @@ Three properties fall out of building on the existing stack:
 
 * **Single-synthesis semantics, cross-process.**  Children run jobs
   through :func:`~repro.api.batch.run_task`, which synthesizes a miss
-  under the store-level claim file for its address
+  under the store-level claim on its address
   (:mod:`repro.store.claims`) and polls the cache while someone else
   holds it — a sibling child of this service, another service, or a
   batch run on the same cache directory.  Identical requests — one
@@ -53,8 +53,9 @@ accepting work and waits for the queue to empty; ``drain=False`` stops
 after the jobs currently in flight (synthesis is not interruptible
 mid-run) and leaves the rest pending in the persistent queue, where the
 next boot's replay picks them up.  A process that dies mid-job instead
-of shutting down is covered by the queue's requeue-on-replay plus the
-claim files' dead-pid staleness.
+of shutting down is covered by the queue's requeue-on-replay, and its
+claims die with it: the kernel drops the lock, so there is nothing to
+sweep at boot.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from ..api.batch import BatchSummary, TaskResult
 from ..api.task import SynthesisTask
 from ..exec import ClaimedTaskEntry, WorkerCrash, WorkerPool
 from ..explore.cache import ResultCache
-from ..store import claims
 from .queue import Job, JobQueue, QueueError, QueueFullError
 
 
@@ -156,7 +156,6 @@ class SynthesisService:
         self._summary = BatchSummary()
         self._certified_keys: set = set()
         self._worker_crashes = 0
-        self._stale_claims_broken = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -167,9 +166,6 @@ class SynthesisService:
             return self
         self.started_at = time.time()
         self._stop.clear()
-        # boot hygiene: claims left by a machine-wide crash (their pids
-        # possibly reused by now) must not gate their keys
-        self._stale_claims_broken = claims.break_stale_claims(self.cache.root)
         self._pool = WorkerPool(
             self.workers,
             ClaimedTaskEntry(str(self.cache.root), verify=self.verify),
@@ -482,7 +478,6 @@ class SynthesisService:
             "uptime": time.time() - self.started_at if self.started_at else 0.0,
             "workers": self.workers,
             "worker_crashes": self._worker_crashes,
-            "stale_claims_broken": self._stale_claims_broken,
             "queue": {
                 "depth": self.queue.depth,
                 "max_depth": self.queue.max_depth,

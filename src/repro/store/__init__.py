@@ -16,11 +16,11 @@ One interface, one write format:
   read (``repro store stats``/``query``) and migrated.
 
 :mod:`~repro.store.claims` adds the package's one single-flight
-protocol on top of the store: per-content-address claim files
-(atomic link-into-place, dead-pid/lease staleness, serialized breaking)
-that :func:`~repro.api.batch.run_task` takes around every cached
-synthesis, so many processes share one store directory without ever
-synthesizing the same task twice.
+protocol on top of the store: a claim is a kernel-held byte-range lock
+on ``claims/locks`` at an offset taken from the content address, freed
+by the kernel when its holder dies.  :func:`~repro.api.batch.run_task`
+takes it around every cached synthesis, so many processes share one
+store directory without ever synthesizing the same task twice.
 
 :func:`open_store` opens a legacy directory as a :class:`LegacyStore`
 and every other one as a :class:`ColumnarStore`;
@@ -47,15 +47,7 @@ from .base import (
     family_of,
     row_from_payload,
 )
-from .claims import (
-    Claim,
-    ClaimError,
-    ClaimInfo,
-    break_stale_claims,
-    claim_path,
-    holder,
-    try_acquire,
-)
+from .claims import Claim, lock_path, try_acquire
 from .columnar import MANIFEST_NAME, ColumnarStore
 from .journal import (
     JOURNAL_NAME,
@@ -99,8 +91,6 @@ def open_store(root: Union[str, Path]) -> ResultStore:
 __all__ = [
     "COLUMN_NAMES",
     "Claim",
-    "ClaimError",
-    "ClaimInfo",
     "ColumnarStore",
     "JOURNAL_NAME",
     "LegacyStore",
@@ -109,15 +99,13 @@ __all__ = [
     "StoreQuery",
     "StoredRow",
     "append_journal_line",
-    "break_stale_claims",
-    "claim_path",
     "detect_backend",
-    "holder",
     "try_acquire",
     "family_of",
     "iter_journal",
     "iter_journal_payloads",
     "journal_path",
+    "lock_path",
     "load_journal",
     "migrate_store",
     "open_store",

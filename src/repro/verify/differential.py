@@ -68,7 +68,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..api.batch import run_batch
+from ..api.batch import claim_or_wait, run_batch
 from ..api.task import SynthesisTask
 from ..portfolio.config import SELF_BINDING_SCHEDULERS, pair_label
 from ..registries import BINDERS, SCHEDULERS
@@ -342,7 +342,10 @@ def cross_check(
             come back as scalar records, which cannot be re-certified —
             their ``certified`` stays ``None`` — so only records that
             were feasible-and-certified (or infeasible) in the run that
-            computed them are stored.
+            computed them are stored.  With a readable and writable
+            cache each miss is single-flight across processes (see
+            :func:`~repro.api.batch.claim_or_wait`): concurrent
+            ``repro fuzz --resume`` runs file each pair's record once.
 
     Returns:
         A :class:`CrossCheckReport`; ``report.violations`` is non-empty
@@ -357,21 +360,38 @@ def cross_check(
 
     # Answer what the cache can, then fan the misses through run_batch
     # (sequential, full results kept — certification needs the datapath).
-    slots: List[Tuple[StrategyOutcome, SynthesisTask, Any]] = []
-    pending: List[SynthesisTask] = []
-    pending_puts: List[Tuple[StrategyOutcome, SynthesisTask, Any]] = []
+    slots: List[List[Any]] = []
     for scheduler, binder in pairs:
         pair_task = _pair_task(task, scheduler, binder)
         outcome = StrategyOutcome(scheduler=scheduler, binder=binder, feasible=False)
         hit = cache.get(pair_task) if cache is not None else None
-        if hit is not None:
-            outcome.cached = True
-        else:
-            pending.append(pair_task)
-        slots.append((outcome, pair_task, hit))
+        slots.append([outcome, pair_task, hit])
+    # Single-flight: each miss is computed under its store claim, held
+    # through the post-check put (or released unfiled if the record
+    # exposed a bug).  Claims are taken in key order, so two runs that
+    # each hold some of them never wait on each other in a cycle.
+    held = []
+    try:
+        if cache is not None:
+            for slot in sorted(slots, key=lambda slot: slot[1].cache_key()):
+                if slot[2] is None:
+                    slot[2], claim = claim_or_wait(cache, slot[1])
+                    if claim is not None:
+                        held.append(claim)
+        return _cross_examine(task, report, slots, cache)
+    finally:
+        for claim in held:
+            claim.release()
+
+
+def _cross_examine(task, report, slots, cache) -> CrossCheckReport:
+    """Certify every slot's record, run the invariants, file the clean misses."""
+    pending = [pair_task for _, pair_task, hit in slots if hit is None]
+    pending_puts: List[Tuple[StrategyOutcome, SynthesisTask, Any]] = []
     computed = iter(run_batch(pending, keep_results=True))
 
     for outcome, pair_task, hit in slots:
+        outcome.cached = hit is not None
         record = hit if hit is not None else next(computed)
         outcome.feasible = record.feasible
         outcome.error = record.error

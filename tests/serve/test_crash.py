@@ -9,8 +9,8 @@ level:
   replay requeues everything in flight; a fresh service on the same
   state directory finishes the batch, and the shared cache journal
   still shows at most one synthesis per content address,
-* claim files left by dead processes are detected stale (dead pid) and
-  broken — at boot by the sweep, and inline by the next acquirer.
+* a claim holder killed mid-hold frees its keys at once: the kernel
+  drops its locks, so the next acquirer computes without waiting.
 
 The synthesis tasks here are deliberately slow (seeded inline CDFGs of
 160-240 operations, ~0.5-1.5s each) so the SIGKILL reliably lands in
@@ -218,49 +218,54 @@ class TestServiceProcessCrash:
                 survivor.terminate()
 
 
-class TestStaleClaimHygiene:
-    def test_boot_sweep_breaks_dead_pid_claims(self, tmp_path):
-        task = SynthesisTask(graph="hal", latency=17, power_budget=12.0)
-        cache_dir = tmp_path / "cache"
-        path = claims.claim_path(cache_dir, task.cache_key())
-        path.parent.mkdir(parents=True, exist_ok=True)
-        dead = claims.ClaimInfo(
-            key=task.cache_key(),
-            pid=2**22 + 1,  # beyond any live pid in the test container
-            acquired_at=time.time(),
-            lease=3600.0,
-            owner="crashed-service",
-        )
-        path.write_bytes(dead.to_json().encode())
+#: A claim holder run as its own process: takes every key on argv, then sleeps.
+HOLD_CLAIMS = """
+import sys, time
+from repro.store import claims
+held = [claims.try_acquire(sys.argv[1], key) for key in sys.argv[2:]]
+assert all(held)
+print("held", flush=True)
+time.sleep(600)
+"""
 
-        from repro.explore import ResultCache
 
-        with SynthesisService(
-            tmp_path / "state", cache=ResultCache(cache_dir), workers=1
-        ) as service:
-            assert service.stats()["stale_claims_broken"] >= 1
-            (job,) = service.submit_many([task])
-            service.wait([job], timeout=60)
-            assert job.state == DONE and job.record["feasible"]
-
-    def test_inline_break_when_claim_goes_stale_mid_wait(self, tmp_path):
-        # a claim planted *after* boot, holder already dead: run_task's
-        # acquire loop must break it inline rather than waiting forever
+class TestDeadClaimHolder:
+    def test_sigkilled_holder_frees_its_keys_at_once(self, tmp_path):
+        # the kernel drops a SIGKILLed holder's locks: run_task and a fresh
+        # service compute its keys at once, with nothing to break or sweep
         from repro.api.batch import run_task
         from repro.explore import ResultCache
 
-        task = SynthesisTask(graph="hal", latency=17, power_budget=10.0)
-        cache = ResultCache(tmp_path / "cache")
-        path = claims.claim_path(cache.root, task.cache_key())
-        path.parent.mkdir(parents=True, exist_ok=True)
-        dead = claims.ClaimInfo(
-            key=task.cache_key(),
-            pid=2**22 + 2,
-            acquired_at=time.time(),
-            lease=3600.0,
+        cache_dir = tmp_path / "cache"
+        tasks = [
+            SynthesisTask(graph="hal", latency=17, power_budget=power)
+            for power in (10.0, 12.0)
+        ]
+        keys = [task.cache_key() for task in tasks]
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        holder = subprocess.Popen(
+            [sys.executable, "-c", HOLD_CLAIMS, str(cache_dir), *keys],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
         )
-        path.write_bytes(dead.to_json().encode())
+        try:
+            assert holder.stdout.readline().strip() == "held"
+            assert all(claims.try_acquire(cache_dir, key) is None for key in keys)
+        finally:
+            holder.kill()
+            holder.wait(timeout=30)
+            holder.stdout.close()
 
-        outcome = run_task(task, keep_result=False, cache=cache).to_dict()
-        assert outcome["feasible"] is True
-        assert claims.holder(cache.root, task.cache_key()) is None
+        started = time.monotonic()
+        record = run_task(tasks[0], keep_result=False, cache=ResultCache(cache_dir))
+        assert record.feasible and not record.cached
+        with SynthesisService(
+            tmp_path / "state", cache=ResultCache(cache_dir), workers=1
+        ) as service:
+            (job,) = service.submit_many([tasks[1]])
+            service.wait([job], timeout=60)
+            assert job.state == DONE and job.record["feasible"]
+            assert not job.record["cached"]
+        # far below CLAIM_TIMEOUT: nobody waited on the dead holder
+        assert time.monotonic() - started < 60

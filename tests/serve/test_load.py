@@ -14,7 +14,7 @@ balance exactly:
 * ``/stats`` totals agree with what the clients observed on the wire.
 
 The two services' synthesis workers are child *processes*, so the
-cross-process claim files are exercised for real even though the two
+cross-process store claims are exercised for real even though the two
 fronts live in this test process.
 """
 

@@ -1,135 +1,148 @@
 """Tests for the store-level single-flight claim protocol.
 
-The unit half exercises the state machine directly: acquire/release,
-dead-pid and lease staleness, the byte-compare breaking rule, the boot
-sweep.  The property half is a seeded multiprocess interleaving test:
-workers race to claim one key, hold it, and randomly *crash while
-holding* — across every interleaving there must never be two live
-holders inside the critical section at once, and a crashed holder's
-claim must always be recoverable by dead-pid breaking alone (the lease
-is set far too long to help).
+The unit half exercises the claim directly: acquire/release, refusal
+to a second thread of the holder's own process, and the kernel's
+release of a SIGKILLed holder's lock — also when that holder has a live
+forked child, which pins the at-fork hook.  The property half is a
+seeded multiprocess interleaving test: workers race to claim one key,
+hold it, and randomly *crash while holding* — across every interleaving
+there must never be two live holders inside the critical section at
+once, and a crashed holder's key must always be free for the next
+acquirer.
 """
 
 import json
 import multiprocessing
 import os
 import random
+import signal
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.store import claims
-from repro.store.claims import (
-    Claim,
-    ClaimInfo,
-    break_stale_claims,
-    claim_path,
-    holder,
-    pid_is_dead,
-    try_acquire,
-)
+from repro.store.claims import Claim, lock_path, try_acquire
 
 KEY = "ab" + "0" * 62
 
+CTX = multiprocessing.get_context("fork")
 
-def plant_claim(root, key, *, pid, age=0.0, lease=claims.DEFAULT_LEASE) -> Path:
-    """Write a claim file directly (simulating another process's claim)."""
-    path = claim_path(root, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    info = ClaimInfo(
-        key=key, pid=pid, acquired_at=time.time() - age, lease=lease, nonce="t"
-    )
-    path.write_bytes(info.to_json().encode())
-    return path
+#: Seconds any helper process may take before it counts as hung.
+WAIT = 60.0
 
 
-@pytest.fixture()
-def dead_pid():
-    """A pid that provably belonged to an exited process."""
-    proc = multiprocessing.Process(target=lambda: None)
-    proc.start()
-    proc.join()
-    assert pid_is_dead(proc.pid)
-    return proc.pid
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` runs on this host (an unreaped zombie counts as dead)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
 
 
 class TestAcquireRelease:
     def test_acquire_then_conflict_then_release(self, tmp_path):
-        claim = try_acquire(tmp_path, KEY, owner="first")
+        claim = try_acquire(tmp_path, KEY)
         assert isinstance(claim, Claim) and claim.key == KEY
-        assert try_acquire(tmp_path, KEY) is None  # held (we are alive)
-        info = holder(tmp_path, KEY)
-        assert info.pid == os.getpid() and info.owner == "first"
+        assert try_acquire(tmp_path, KEY) is None  # held by this very process
+        other = try_acquire(tmp_path, "cd" + "0" * 62)
+        assert other is not None  # another byte of the same lock file
+        other.release()
         claim.release()
-        assert holder(tmp_path, KEY) is None
         assert try_acquire(tmp_path, KEY) is not None
 
-    def test_release_is_idempotent_and_survives_breaking(self, tmp_path):
+    def test_second_thread_is_refused(self, tmp_path):
         claim = try_acquire(tmp_path, KEY)
-        os.unlink(claim.path)  # someone broke us
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(try_acquire(tmp_path, KEY)))
+        thread.start()
+        thread.join(WAIT)
+        assert seen == [None]
+        claim.release()
+
+    def test_release_is_idempotent(self, tmp_path):
+        claim = try_acquire(tmp_path, KEY)
         claim.release()
         claim.release()
+        assert claim.released
+        again = try_acquire(tmp_path, KEY)
+        claim.release()  # a stale handle must not free the new holder's byte
+        assert try_acquire(tmp_path, KEY) is None
+        again.release()
 
     def test_context_manager_releases(self, tmp_path):
         with try_acquire(tmp_path, KEY) as claim:
-            assert holder(tmp_path, KEY) is not None
-        assert holder(tmp_path, KEY) is None
-        assert claim._released
+            assert try_acquire(tmp_path, KEY) is None
+        assert claim.released
+        assert try_acquire(tmp_path, KEY) is not None
 
     def test_no_temp_file_litter(self, tmp_path):
         try_acquire(tmp_path, KEY).release()
-        blocked = plant_claim(tmp_path, KEY, pid=os.getpid())
+        held = try_acquire(tmp_path, KEY)
         assert try_acquire(tmp_path, KEY) is None
-        leftovers = [
-            p for p in blocked.parent.iterdir() if p.name.startswith(".tmp-")
-        ]
-        assert leftovers == []
+        held.release()
+        assert [p.name for p in lock_path(tmp_path).parent.iterdir()] == ["locks"]
 
 
-class TestStaleness:
-    def test_dead_pid_claim_is_broken_and_taken(self, tmp_path, dead_pid):
-        plant_claim(tmp_path, KEY, pid=dead_pid)
+def _hold(root, report, fork_child) -> None:
+    """Holder body: take the claim, maybe fork a sleeping child, report, sleep."""
+    claim = try_acquire(root, KEY)
+    child = os.fork() if fork_child else -1
+    if child != 0:  # the holder, not its child
+        os.write(report, f"{int(claim is not None)} {child}".encode())
+    time.sleep(WAIT)
+
+
+def _sigkilled_holder(tmp_path, *, fork_child):
+    """Fork a holder, check it is respected, SIGKILL it; return its child's pid."""
+    read_end, write_end = os.pipe()
+    holder = os.fork()
+    if holder == 0:
+        try:
+            _hold(tmp_path, write_end, fork_child)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        held, child = os.read(read_end, 64).split()
+        assert held == b"1", "holder never took the claim"
+        assert try_acquire(tmp_path, KEY) is None  # a live holder is never robbed
+    finally:
+        os.kill(holder, signal.SIGKILL)
+        os.waitpid(holder, 0)
+        os.close(read_end)
+    return int(child)
+
+
+class TestHolderDeath:
+    def test_sigkilled_holder_frees_key_at_once(self, tmp_path):
+        _sigkilled_holder(tmp_path, fork_child=False)
         claim = try_acquire(tmp_path, KEY)
         assert claim is not None
-        assert holder(tmp_path, KEY).pid == os.getpid()
         claim.release()
 
-    def test_expired_lease_claim_is_broken_even_with_live_pid(self, tmp_path):
-        plant_claim(tmp_path, KEY, pid=os.getpid(), age=100.0, lease=1.0)
-        assert try_acquire(tmp_path, KEY) is not None
+    def test_live_forked_child_does_not_keep_the_claim(self, tmp_path):
+        child = _sigkilled_holder(tmp_path, fork_child=True)
+        try:
+            assert _pid_alive(child)
+            claim = try_acquire(tmp_path, KEY)
+            assert claim is not None
+            claim.release()
+        finally:
+            os.kill(child, signal.SIGKILL)
 
-    def test_live_claim_within_lease_is_respected(self, tmp_path):
-        plant_claim(tmp_path, KEY, pid=os.getpid(), age=1.0, lease=600.0)
+    def test_forked_child_cannot_release_its_parents_claim(self, tmp_path):
+        claim = try_acquire(tmp_path, KEY)
+        pid = os.fork()
+        if pid == 0:
+            claim.release()  # the child holds no descriptor: a no-op
+            os._exit(0 if claim.released else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WEXITSTATUS(status) == 0
         assert try_acquire(tmp_path, KEY) is None
-
-    def test_garbage_claim_body_does_not_wedge_the_key(self, tmp_path):
-        path = claim_path(tmp_path, KEY)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"not json at all")
-        assert try_acquire(tmp_path, KEY) is not None
-
-    def test_breaker_backs_off_when_claim_changes_hands(self, tmp_path, dead_pid):
-        path = plant_claim(tmp_path, KEY, pid=dead_pid)
-        observed = path.read_bytes()
-        # a new, live holder replaces the stale claim before we break it
-        plant_claim(tmp_path, KEY, pid=os.getpid())
-        assert claims._break_if_unchanged(path, observed) is False
-        assert holder(tmp_path, KEY).pid == os.getpid()
-
-
-class TestBootSweep:
-    def test_sweep_breaks_only_stale_claims(self, tmp_path, dead_pid):
-        plant_claim(tmp_path, "aa" + "0" * 62, pid=dead_pid)
-        plant_claim(tmp_path, "bb" + "0" * 62, pid=os.getpid(), age=50.0, lease=1.0)
-        plant_claim(tmp_path, "cc" + "0" * 62, pid=os.getpid())
-        assert break_stale_claims(tmp_path) == 2
-        assert holder(tmp_path, "aa" + "0" * 62) is None
-        assert holder(tmp_path, "bb" + "0" * 62) is None
-        assert holder(tmp_path, "cc" + "0" * 62) is not None
-
-    def test_sweep_on_missing_directory_is_zero(self, tmp_path):
-        assert break_stale_claims(tmp_path / "nowhere") == 0
+        claim.release()
 
 
 # --------------------------------------------------------------------- #
@@ -139,9 +152,6 @@ class TestBootSweep:
 WORKERS = 4
 ITERATIONS = 12
 CRASH_PROBABILITY = 0.3
-#: Long enough that lease expiry can never fire inside the test —
-#: recovery from a crashed holder must come from dead-pid breaking.
-LONG_LEASE = 3600.0
 
 
 def _contend(root, worker, seed):
@@ -158,7 +168,7 @@ def _contend(root, worker, seed):
     sentinel = root / "critical.sentinel"
     violations = root / "violations.log"
     for _round in range(ITERATIONS):
-        claim = try_acquire(root, KEY, lease=LONG_LEASE, owner=f"w{worker}")
+        claim = try_acquire(root, KEY)
         if claim is None:
             time.sleep(rng.uniform(0.0, 0.003))
             continue
@@ -172,7 +182,7 @@ def _contend(root, worker, seed):
                 previous = int(sentinel.read_text() or "0")
             except (OSError, ValueError):
                 previous = 0
-            if previous and not pid_is_dead(previous):
+            if previous and _pid_alive(previous):
                 with open(violations, "a") as handle:  # two live holders!
                     handle.write(
                         json.dumps({"worker": worker, "other_pid": previous})
@@ -189,12 +199,9 @@ def _contend(root, worker, seed):
 
 @pytest.mark.parametrize("seed", [7, 1234])
 def test_random_crash_interleavings_never_double_hold(tmp_path, seed):
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    )
     for wave in range(2):
         procs = [
-            ctx.Process(
+            CTX.Process(
                 target=_contend, args=(str(tmp_path), wave * WORKERS + w, seed)
             )
             for w in range(WORKERS)
@@ -202,18 +209,14 @@ def test_random_crash_interleavings_never_double_hold(tmp_path, seed):
         for proc in procs:
             proc.start()
         for proc in procs:
-            proc.join(60)
+            proc.join(WAIT)
             assert proc.exitcode is not None, "worker wedged"
 
     violations = tmp_path / "violations.log"
     assert not violations.exists(), violations.read_text()
 
-    # whatever a crashed final holder left behind must be recoverable:
-    # the claim (if any) is stale by dead pid, and one sweep clears it
-    leftover = holder(tmp_path, KEY)
-    if leftover is not None:
-        assert pid_is_dead(leftover.pid)
-        assert break_stale_claims(tmp_path) >= 1
-    claim = try_acquire(tmp_path, KEY, lease=LONG_LEASE)
+    # whatever a crashed final holder left behind, the kernel dropped its
+    # lock: the next try_acquire succeeds
+    claim = try_acquire(tmp_path, KEY)
     assert claim is not None
     claim.release()

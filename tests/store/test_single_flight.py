@@ -33,7 +33,7 @@ def hal_task(power: float = 10.0) -> SynthesisTask:
 def _hold_then_file(root, spec, claimed, go) -> None:
     """Hold the claim on ``spec``'s address until ``go``, then file its record."""
     task = SynthesisTask.from_dict(spec)
-    claim = claims.try_acquire(root, task.cache_key(), owner="helper")
+    claim = claims.try_acquire(root, task.cache_key())
     assert claim is not None
     claimed.set()
     go.wait(WAIT)
@@ -82,7 +82,9 @@ class TestWaitOnForeignClaim:
         )
         assert record.cached is True and record.feasible
         assert len(load_journal(tmp_path)) == 1
-        assert claims.holder(tmp_path, hal_task().cache_key()) is None
+        claim = claims.try_acquire(tmp_path, hal_task().cache_key())
+        assert claim is not None  # the holder released it
+        claim.release()
 
     def test_waiting_counts_one_lookup(self, tmp_path):
         # a race contender behind another process's claim: its polls use

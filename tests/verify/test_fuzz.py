@@ -1,10 +1,12 @@
 """Tests for the seeded differential fuzzer."""
 
 import json
+import multiprocessing
 
 import pytest
 
 from repro.explore import ResultCache
+from repro.store import iter_journal_payloads
 from repro.suite.generators import family_names
 from repro.verify import FuzzConfig, fuzz_case_tasks, run_fuzz
 
@@ -135,3 +137,28 @@ class TestRunFuzz:
         second = run_fuzz(SMALL, cache=cache)
         assert second.ok
         assert second.cached_runs == second.runs
+
+
+def _fuzz_after(barrier, root) -> None:
+    barrier.wait(60)
+    report = run_fuzz(SMALL, cache=ResultCache(root, read=True))
+    assert report.ok, report.describe()
+
+
+class TestConcurrentResume:
+    def test_two_runs_file_each_key_once(self, tmp_path):
+        # two `repro fuzz --resume` runs on one fresh directory: every pair
+        # is computed under its store claim, so each key is filed once
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
+        runs = [
+            ctx.Process(target=_fuzz_after, args=(barrier, str(tmp_path)))
+            for _ in range(2)
+        ]
+        for run in runs:
+            run.start()
+        for run in runs:
+            run.join(300)
+        assert [run.exitcode for run in runs] == [0, 0]
+        journaled = [key for key, _ in iter_journal_payloads(tmp_path)]
+        assert journaled and sorted(journaled) == sorted(set(journaled))
