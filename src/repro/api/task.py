@@ -611,9 +611,13 @@ def tasks_from_json(text: str) -> List[SynthesisTask]:
     ``{"sweeps": [...]}`` entries are expanded through
     :class:`repro.api.batch.Sweep`.
     """
+    return tasks_from_payload(json.loads(text))
+
+
+def tasks_from_payload(payload: Any) -> List[SynthesisTask]:
+    """:func:`tasks_from_json` on an already parsed batch file."""
     from .batch import Sweep  # local import to avoid a cycle
 
-    payload = json.loads(text)
     specs: List[Dict[str, Any]] = []
     sweeps: List[Dict[str, Any]] = []
     if isinstance(payload, list):

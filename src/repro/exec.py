@@ -28,7 +28,9 @@ imported, or spawned where fork is unavailable.  They are not daemonic,
 so a worker may fork the contenders of a deadline race; each worker
 registers a :class:`multiprocessing.util.Finalize` that kills its child
 before multiprocessing joins non-daemonic children at interpreter exit,
-so an unstopped worker never hangs the exit.  Children ignore SIGINT —
+so an unstopped worker never hangs the exit.  A process a worker forks
+does not keep its end of the worker's pipe, so a worker's death reaches
+its parent at once.  Children ignore SIGINT —
 shutdown is the parent's decision, delivered as a ``None`` sentinel.
 """
 
@@ -40,6 +42,7 @@ import pickle
 import queue
 import signal
 import threading
+import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -124,8 +127,31 @@ class ClaimedTaskEntry:
         )
 
 
+#: In a worker child, its end of the pipe to the parent.
+_WORKER_CONN = None
+
+
+def _close_worker_pipe() -> None:
+    """Close an inherited worker pipe end in a freshly forked process.
+
+    Were it left open, a grandchild (a deadline race's contender) would
+    hold the pipe, and the parent of a SIGKILLed worker would see no EOF
+    until the grandchild exits.
+    """
+    global _WORKER_CONN
+    conn, _WORKER_CONN = _WORKER_CONN, None
+    if conn is not None:
+        conn.close()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_worker_pipe)
+
+
 def _child_main(conn, entry: Entry) -> None:
     """Worker-child loop: payload in, ``entry(payload)`` out, until EOF."""
+    global _WORKER_CONN
+    _WORKER_CONN = conn
     try:  # the parent's Ctrl-C must not kill workers mid-synthesis
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
@@ -200,7 +226,11 @@ class ProcessWorker:
         return self._conn
 
     def _crash(self) -> WorkerCrash:
-        self._process.join(timeout=5.0)
+        # reap by pid: ``join`` waits on a pipe that the dead child's own
+        # children still hold open
+        deadline = time.monotonic() + 5.0
+        while self._process.exitcode is None and time.monotonic() < deadline:
+            time.sleep(0.001)
         return WorkerCrash(self._process.pid, self._process.exitcode)
 
     def submit(self, payload: Any) -> None:

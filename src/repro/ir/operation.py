@@ -80,14 +80,24 @@ class OpType(enum.Enum):
         Raises:
             ValueError: if the mnemonic is unknown.
         """
-        for member in cls:
-            if member.value == text:
+        if type(text) is str:
+            member = _BY_MNEMONIC.get(text)
+            if member is not None:
                 return member
+        else:
+            # anything but a plain string compares by its own __eq__
+            for member in cls:
+                if member.value == text:
+                    return member
         try:
             return cls[text.upper()]
         except KeyError:
             raise ValueError(f"unknown operation mnemonic: {text!r}") from None
 
+
+#: Every operation type by its mnemonic (what :meth:`OpType.from_mnemonic`
+#: tries before the name).
+_BY_MNEMONIC = {member.value: member for member in OpType}
 
 #: Operation types that commutative-input optimizations may reorder.
 COMMUTATIVE_TYPES = frozenset({OpType.ADD, OpType.MUL})

@@ -32,6 +32,10 @@ Endpoints:
 * ``GET /stats`` — queue/cache/strategy counters plus the same
   :class:`~repro.api.batch.BatchSummary` numbers ``repro batch`` prints.
 
+Every response body is compact JSON with sorted keys, which the C
+encoder writes (pipe it through ``python -m json.tool`` to read it); a
+job's task is encoded once and spliced into each status of it.
+
 Protocol discipline: HTTP/1.1 with keep-alive; every error response
 (400/404/413/429/503) closes the connection after exactly one response,
 discarding whatever the client pipelined behind the rejected request —
@@ -53,11 +57,11 @@ import socket
 import threading
 from dataclasses import dataclass, field
 from http import HTTPStatus
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..api.task import TaskError, SynthesisTask, tasks_from_json
+from ..api.task import TaskError, SynthesisTask, tasks_from_payload
 from ..registries import UnknownStrategyError
-from .queue import QueueFullError
+from .queue import QueueFullError, compact_json
 from .service import SynthesisService
 
 #: Largest accepted request body (a batch file of inline CDFGs is big;
@@ -69,6 +73,9 @@ MAX_HEADER_BYTES = 64 * 1024
 
 #: Per-recv read size for the event loop.
 _RECV_SIZE = 65536
+
+#: A response body: a JSON-safe dict, or its :func:`compact_json` text.
+_Payload = Union[Dict[str, Any], str]
 
 
 @dataclass
@@ -85,7 +92,8 @@ def parse_submission(text: str) -> Submission:
 
     Accepts the single-spec object form (``{"graph": "hal", ...}``) as
     sugar on top of everything :func:`~repro.api.task.tasks_from_json`
-    reads (a list of specs, or ``{"tasks": [...], "sweeps": [...]}``).
+    reads (a list of specs, or ``{"tasks": [...], "sweeps": [...]}``);
+    the body is parsed once.
     An object form may carry a ``"priority"`` integer (higher-priority
     jobs are dequeued first) and a ``"deadline_s"`` number — a race
     budget stamped onto every submitted ``portfolio`` task before
@@ -112,9 +120,7 @@ def parse_submission(text: str) -> Submission:
         deadline_s = float(raw)
     if isinstance(payload, dict) and "graph" in payload:
         return Submission([SynthesisTask.from_dict(payload)], priority, deadline_s)
-    if isinstance(payload, dict):
-        return Submission(tasks_from_json(json.dumps(payload)), priority, deadline_s)
-    return Submission(tasks_from_json(text), priority, deadline_s)
+    return Submission(tasks_from_payload(payload), priority, deadline_s)
 
 
 class _HTTPError(Exception):
@@ -360,7 +366,7 @@ class SynthesisServer:
     # ------------------------------------------------------------------ #
     def _dispatch(
         self, method: str, path: str, body: str
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    ) -> Tuple[int, _Payload, Dict[str, str]]:
         path = path.split("?", 1)[0]
         if method == "POST":
             return self._post(path, body)
@@ -368,7 +374,7 @@ class SynthesisServer:
             return self._get(path)
         raise _HTTPError(405, f"method {method} not allowed")
 
-    def _post(self, path: str, body: str) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    def _post(self, path: str, body: str) -> Tuple[int, _Payload, Dict[str, str]]:
         if path.rstrip("/") != "/tasks":
             raise _HTTPError(404, f"unknown endpoint {path!r}")
         if not body:
@@ -406,23 +412,20 @@ class SynthesisServer:
             {},
         )
 
-    def _get(self, path: str) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    def _get(self, path: str) -> Tuple[int, _Payload, Dict[str, str]]:
         path = path.rstrip("/") or "/"
         if path == "/healthz":
             return 200, self.service.healthz(), {}
         if path == "/stats":
             return 200, self.service.stats(), {}
         if path == "/jobs":
-            return (
-                200,
-                {"jobs": [job.to_dict() for job in self.service.queue.jobs()]},
-                {},
-            )
+            jobs = ",".join(job.to_json() for job in self.service.queue.jobs())
+            return 200, f'{{"jobs":[{jobs}]}}', {}
         if path.startswith("/jobs/"):
             job = self.service.job(path[len("/jobs/"):])
             if job is None:
                 raise _HTTPError(404, f"unknown job {path[len('/jobs/'):]!r}")
-            return 200, job.to_dict(), {}
+            return 200, job.to_json(), {}
         if path.startswith("/results/"):
             key = path[len("/results/"):]
             payload = self.service.result(key)
@@ -456,12 +459,14 @@ class SynthesisServer:
         self,
         conn: _Connection,
         status: int,
-        payload: Dict[str, Any],
+        payload: _Payload,
         *,
         close: bool,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        body = json.dumps(payload, indent=1, sort_keys=True).encode("utf-8")
+        if not isinstance(payload, str):
+            payload = compact_json(payload)
+        body = payload.encode("utf-8")
         phrase = HTTPStatus(status).phrase if status in HTTPStatus._value2member_map_ else ""
         lines = [
             f"HTTP/1.1 {status} {phrase}",

@@ -9,6 +9,10 @@ result cache journal — concurrent writers never interleave mid-line and
 a torn tail from a killed process is skipped on replay.  A job the
 service answers at admission (a cache hit) skips ``start``: its
 ``submit`` and ``finish`` lines are appended together in one write.
+Each line is :func:`compact_json` of its event; a job encodes its task
+once and splices that text into its events and statuses
+(:meth:`Job.encode`), which leaves every byte as the plain encoding
+would write it.
 
 Reopening a state directory replays the event log: finished jobs come
 back with their records, pending jobs re-enter the queue in submission
@@ -56,6 +60,38 @@ DONE = "done"
 FAILED = "failed"
 
 STATES = (PENDING, RUNNING, DONE, FAILED)
+
+#: Stands in for a job's task while an event or status is encoded; the
+#: job's cached task JSON replaces its encoded form afterwards.  Random
+#: per process, so no submitted string is built to collide with it.
+_TASK_TOKEN = f"repro-task-{uuid.uuid4().hex}"
+_TASK_TOKEN_JSON = json.dumps(_TASK_TOKEN)
+
+
+def compact_json(payload: Any) -> str:
+    """Compact JSON with sorted keys: every log line and HTTP response."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _same_json(a: Any, b: Any) -> bool:
+    """True when ``a`` and ``b`` certainly encode to the same JSON text.
+
+    Stricter than ``==``, which holds for ``1``, ``1.0`` and ``True``
+    alike; identical objects answer at once.
+    """
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(
+            type(k) is str and _same_json(v, b[k]) for k, v in a.items()
+        )
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    if type(a) is float:
+        return a.hex() == b.hex()
+    return type(a) in (str, int, bool) and a == b
 
 
 class QueueError(RuntimeError):
@@ -115,6 +151,10 @@ class Job:
     priority: int = 0
     #: Monotonic submission sequence number (dequeue tie-breaker).
     seq: int = 0
+    #: The task's :func:`compact_json` text, once something needed it.
+    _task_json: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    #: ``(record, whether its "task" encodes as this job's task)``.
+    _record_task: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def finished(self) -> bool:
@@ -137,6 +177,44 @@ class Job:
             "requeues": self.requeues,
             "priority": self.priority,
         }
+
+    def to_json(self) -> str:
+        """:func:`compact_json` of :meth:`to_dict`, with the task encoded once."""
+        return self.encode(self.to_dict())
+
+    def encode(self, payload: Dict[str, Any]) -> str:
+        """:func:`compact_json` of a payload about this job, with less work.
+
+        ``payload["task"]``, if present, must be this job's task, and a
+        ``payload["record"]`` this job's record.  Both places are encoded
+        from the job's cached task JSON (the record's ``task`` only when
+        it encodes the same); should the placeholder turn up anywhere
+        else, the payload is encoded plainly.
+        """
+        spliced = dict(payload)
+        slots = 0
+        if "task" in spliced:
+            spliced["task"] = _TASK_TOKEN
+            slots += 1
+        record = spliced.get("record")
+        if isinstance(record, dict) and self._record_holds_task(record):
+            spliced["record"] = {**record, "task": _TASK_TOKEN}
+            slots += 1
+        text = compact_json(spliced)
+        if not slots:
+            return text
+        if text.count(_TASK_TOKEN_JSON) != slots:
+            return compact_json(payload)
+        if self._task_json is None:
+            self._task_json = compact_json(self.task.to_dict())
+        return text.replace(_TASK_TOKEN_JSON, self._task_json)
+
+    def _record_holds_task(self, record: Dict[str, Any]) -> bool:
+        memo = self._record_task
+        if memo is None or memo[0] is not record:
+            memo = (record, _same_json(record.get("task"), self.task.to_dict()))
+            self._record_task = memo
+        return memo[1]
 
 
 class JobQueue:
@@ -184,13 +262,11 @@ class JobQueue:
     def log_path(self) -> Optional[Path]:
         return self.state_dir / LOG_NAME if self.state_dir is not None else None
 
-    def _append(self, *events: Dict[str, Any]) -> None:
+    def _append(self, job: Job, *events: Dict[str, Any]) -> None:
+        """Log ``job``'s events, one :meth:`Job.encode` line each."""
         if self.state_dir is None:
             return
-        text = "".join(
-            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
-            for event in events
-        )
+        text = "".join(job.encode(event) + "\n" for event in events)
         # one unbuffered write to an O_APPEND fd, exactly like the result
         # cache journal: concurrent workers never interleave mid-line, and
         # events appended together land together or as a torn tail
@@ -259,7 +335,7 @@ class JobQueue:
                 job.state = PENDING
                 job.started_at = None
                 job.requeues += 1
-                self._append({"event": "requeue", "id": job_id, "ts": time.time()})
+                self._append(job, {"event": "requeue", "id": job_id, "ts": time.time()})
             if job.state == PENDING:
                 bisect.insort(self._pending, (-job.priority, job.seq, job.id))
         self._seq = len(order)
@@ -339,12 +415,12 @@ class JobQueue:
                 }
                 if record is None:
                     bisect.insort(self._pending, (-job.priority, job.seq, job.id))
-                    self._append(submitted)
+                    self._append(job, submitted)
                 else:
                     job.started_at = job.finished_at = job.submitted_at
                     job.record = record
                     job.state = DONE
-                    self._append(submitted, self._finish_event(job))
+                    self._append(job, submitted, self._finish_event(job))
                 self._jobs[job.id] = job
                 jobs.append(job)
             self._not_empty.notify(waiting)
@@ -393,7 +469,7 @@ class JobQueue:
             job = self._jobs[self._pending.pop(0)[2]]
             job.state = RUNNING
             job.started_at = time.time()
-            self._append({"event": "start", "id": job.id, "ts": job.started_at})
+            self._append(job, {"event": "start", "id": job.id, "ts": job.started_at})
             return job
 
     def finish(
@@ -416,7 +492,7 @@ class JobQueue:
             job.error = error
             job.error_type = error_type
             job.state = FAILED if error is not None else DONE
-            self._append(self._finish_event(job))
+            self._append(job, self._finish_event(job))
 
     @staticmethod
     def _finish_event(job: Job) -> Dict[str, Any]:
@@ -444,7 +520,7 @@ class JobQueue:
             job.started_at = None
             job.requeues += 1
             bisect.insort(self._pending, (-job.priority, job.seq, job.id))
-            self._append({"event": "requeue", "id": job.id, "ts": time.time()})
+            self._append(job, {"event": "requeue", "id": job.id, "ts": time.time()})
             self._not_empty.notify()
 
     # ------------------------------------------------------------------ #

@@ -18,6 +18,39 @@ class TestOpType:
         with pytest.raises(ValueError):
             OpType.from_mnemonic("bogus")
 
+    def test_from_mnemonic_matches_the_linear_scan_on_every_input(self):
+        def scan(text):
+            for member in OpType:
+                if member.value == text:
+                    return member
+            try:
+                return OpType[text.upper()]
+            except KeyError:
+                raise ValueError(f"unknown operation mnemonic: {text!r}") from None
+
+        class EqualsPlus:
+            def __eq__(self, other):
+                return other == "+"
+
+            __hash__ = object.__hash__
+
+            def upper(self):
+                return "NOPE"
+
+        inputs = [member.value for member in OpType]
+        for member in OpType:
+            inputs += [member.name, member.name.lower(), member.name.capitalize()]
+        inputs += ["bogus", "", " +", "Add ", 1, 1.5, None, ["+"], b"+", EqualsPlus()]
+
+        def outcome(parse, text):
+            try:
+                return parse(text)
+            except Exception as exc:  # noqa: BLE001 - the type is the result
+                return type(exc), str(exc)
+
+        for text in inputs:
+            assert outcome(OpType.from_mnemonic, text) == outcome(scan, text), text
+
     def test_io_classification(self):
         assert OpType.INPUT.is_io
         assert OpType.OUTPUT.is_io

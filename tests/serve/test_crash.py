@@ -13,8 +13,10 @@ level:
   drops its locks, so the next acquirer computes without waiting.
 
 The synthesis tasks here are deliberately slow (seeded inline CDFGs of
-160-240 operations, ~0.5-1.5s each) so the SIGKILL reliably lands in
-the middle of real work, not between jobs.
+160 operations, ~0.5-1.5s each) so the SIGKILL reliably lands in the
+middle of real work, not between jobs.  The crash-loop job runs a
+test-local scheduler that sleeps for a minute, so no attempt of it can
+finish between two kills.
 """
 
 import json
@@ -32,6 +34,7 @@ from repro.ir.analysis import critical_path_length
 from repro.ir.serialize import to_dict
 from repro.library import default_library
 from repro.library.selection import MinPowerSelection, selection_delays
+from repro.registries import SCHEDULERS
 from repro.serve import Client, ClientError
 from repro.serve.queue import DONE, RUNNING
 from repro.serve.service import SynthesisService
@@ -57,6 +60,19 @@ def slow_spec(seed: int, operations: int = 160, power: float = 60.0) -> dict:
     selection = MinPowerSelection().select(cdfg, default_library())
     latency = critical_path_length(cdfg, selection_delays(selection, cdfg)) + 8
     return {"graph": to_dict(cdfg), "latency": latency, "power_budget": power}
+
+
+@pytest.fixture()
+def sleepy_scheduler():
+    """A scheduler that sleeps through any kill cadence, registered before
+    the service forks its children (they inherit the registry)."""
+
+    def sleepy(_ctx):
+        time.sleep(60.0)
+
+    SCHEDULERS.register("sleepy_for_crash_test", sleepy)
+    yield "sleepy_for_crash_test"
+    SCHEDULERS.unregister("sleepy_for_crash_test")
 
 
 class TestWorkerChildCrash:
@@ -87,10 +103,15 @@ class TestWorkerChildCrash:
         assert sorted(journaled) == sorted(set(journaled))
         assert set(journaled) == {job.key for job in jobs}
 
-    def test_crash_loop_fails_job_after_max_requeues(self, tmp_path):
+    def test_crash_loop_fails_job_after_max_requeues(self, tmp_path, sleepy_scheduler):
         with SynthesisService(tmp_path, workers=1, max_requeues=1) as service:
             (job,) = service.submit_many(
-                [SynthesisTask.from_dict(slow_spec(99, operations=240, power=80.0))]
+                [
+                    SynthesisTask(
+                        graph="hal", latency=17, power_budget=12.0,
+                        scheduler=sleepy_scheduler,
+                    )
+                ]
             )
             crashes = 0
             deadline = time.monotonic() + 120

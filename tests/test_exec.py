@@ -6,6 +6,7 @@ any scheduler registered in this process) reach the children as-is.
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -33,6 +34,27 @@ def raise_value_error(payload):
 
 def exit_hard(_payload):
     os._exit(1)
+
+
+def fork_sleeper(payload):
+    """Fork a grandchild that sleeps 30 s and return its pid, or sleep."""
+    if payload != "fork":
+        time.sleep(payload)
+        return None
+    pid = os.fork()
+    if pid == 0:
+        time.sleep(30.0)
+        os._exit(0)
+    return pid
+
+
+def _gone(pid: int) -> bool:
+    """True once ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
 
 
 def test_map_keeps_input_order_when_tasks_finish_out_of_order():
@@ -94,6 +116,26 @@ def test_unclosed_workers_do_not_hang_interpreter_exit():
     )
     assert done.returncode == 0, done.stderr
     assert time.monotonic() - started < 5.0
+
+
+def test_killed_worker_crashes_at_once_while_its_grandchild_lives():
+    worker = ProcessWorker(fork_sleeper)
+    grandchild = worker.run("fork")
+    try:
+        worker.submit(60.0)
+        os.kill(worker.pid, signal.SIGKILL)
+        started = time.monotonic()
+        with pytest.raises(WorkerCrash):
+            worker.receive()
+        assert time.monotonic() - started < 2.0
+        assert not _gone(grandchild)
+    finally:
+        worker.kill()
+        os.kill(grandchild, signal.SIGKILL)
+        deadline = time.monotonic() + 5.0
+        while not _gone(grandchild) and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert _gone(grandchild)
 
 
 @pytest.fixture()
