@@ -20,9 +20,10 @@ benchmark, one latency bound, many power budgets (one Figure-2 curve).
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..scheduling.constraints import ConstraintError
 from ..scheduling.exact import ExactSchedulerError
@@ -370,21 +371,49 @@ def _synthesize(task, keep_result, pipeline, cdfg, library, cache, verify):
     return record, True
 
 
-def _run_task_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: task dict in, record dict out (both picklable).
+def worker_payload(task: SynthesisTask, cache=None, *, verify: bool = False) -> Dict[str, Any]:
+    """The payload :func:`_run_task_payload` runs ``task`` from.
 
-    When the payload names a ``cache_dir``, the worker opens the shared
-    on-disk cache itself — each completed point lands on disk (and in the
-    journal) the moment it finishes, so a killed parallel grid loses at
-    most the points that were in flight.
+    It names ``cache``'s directory only when ``cache`` is a
+    :class:`~repro.explore.cache.ResultCache` that writes: the caller has
+    already looked the task up, so a worker's own lookups only pay off
+    together with its writes.
     """
-    task = SynthesisTask.from_dict(payload["task"])
-    cache = None
-    if payload.get("cache_dir"):
-        from ..explore.cache import ResultCache  # local import to avoid a cycle
+    writes = getattr(cache, "write", False)
+    return {
+        "task": task.to_dict(),
+        "cache_dir": str(cache.root) if writes else None,
+        "cache_read": writes and cache.read,
+        "verify": verify,
+    }
 
-        cache = ResultCache(payload["cache_dir"], read=payload.get("cache_read", True))
-    return run_task(task, keep_result=False, cache=cache).to_dict()
+
+#: A worker child's open caches, by (pid, directory, read flag).  The pid
+#: keeps a forked child off the handles it inherited: their file offsets
+#: are shared with the parent's.
+_WORKER_CACHES: Dict[Tuple[int, str, bool], Any] = {}
+
+
+def _run_task_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The entry of every worker child: a :func:`worker_payload` in, a record dict out.
+
+    Batch workers, serve children and deadline-race contenders all run
+    this.  The child opens the payload's cache directory once and keeps
+    it; each computed record lands on disk (and in the journal) the
+    moment it finishes, so a killed parallel grid loses at most the
+    points that were in flight.  An error raises, and
+    :class:`~repro.exec.ProcessWorker` re-raises it in the parent.
+    """
+    cache = None
+    if payload["cache_dir"] is not None:
+        key = (os.getpid(), payload["cache_dir"], payload["cache_read"])
+        cache = _WORKER_CACHES.get(key)
+        if cache is None:
+            from ..explore.cache import ResultCache  # local import to avoid a cycle
+
+            cache = _WORKER_CACHES[key] = ResultCache(key[1], read=key[2])
+    task = SynthesisTask.from_dict(payload["task"])
+    return run_task(task, keep_result=False, cache=cache, verify=payload["verify"]).to_dict()
 
 
 def run_batch(
@@ -452,15 +481,7 @@ def run_batch(
             else:
                 pending.append(index)
     if pending:
-        cache_dir = str(cache.root) if cache is not None and cache.write else None
-        payloads = [
-            {
-                "task": task_list[index].to_dict(),
-                "cache_dir": cache_dir,
-                "cache_read": cache.read if cache is not None else True,
-            }
-            for index in pending
-        ]
+        payloads = [worker_payload(task_list[index], cache) for index in pending]
         # imported here: the process machinery costs a plain
         # ``import repro`` ~30 ms and only parallel batches use it
         from ..exec import WorkerPool

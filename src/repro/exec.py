@@ -10,18 +10,11 @@ child that dies mid-job surfaces as :class:`WorkerCrash`.  Killing the
 child is how a job is cancelled.  :class:`WorkerPool` is ``size``
 workers over one entry.
 
-:func:`run_claimed_task` is how serve jobs and race contenders execute
-— in a child, or, for a race without a deadline, in the process that
-runs the race (:class:`~repro.portfolio.executors.InlineExecutor`): it
-calls :func:`~repro.api.batch.run_task` and turns the outcome, or the
-error, into a dict that can cross a pipe.  The single-flight lives in
-``run_task`` itself, for every caller alike: with a readable and
-writable cache, a miss is synthesized under the **store-level claim**
-for the task's content address (:mod:`repro.store.claims`), a waiter
-polls the cache until the holder's record appears, and the kernel frees
-a dead holder's claim — so processes sharing a cache directory
-synthesize each address once and a SIGKILL never wedges a key.  A
-forked child does not inherit its parent's claims.
+Every worker constructed in ``repro`` runs one entry,
+:func:`repro.api.batch._run_task_payload`, on one payload shape; this
+module itself knows nothing of tasks.  Errors cross the pipe as
+exceptions: an entry's exception must pickle to keep its type, and one
+that does not arrives as ``RuntimeError("<Type>: <message>")``.
 
 Children are forked (POSIX) with every module they need already
 imported, or spawned where fork is unavailable.  They are not daemonic,
@@ -30,7 +23,8 @@ registers a :class:`multiprocessing.util.Finalize` that kills its child
 before multiprocessing joins non-daemonic children at interpreter exit,
 so an unstopped worker never hangs the exit.  A process a worker forks
 does not keep its end of the worker's pipe, so a worker's death reaches
-its parent at once.  Children ignore SIGINT —
+its parent at once, and a worker is reaped by pid, so stopping it never
+waits for such a grandchild.  Children ignore SIGINT —
 shutdown is the parent's decision, delivered as a ``None`` sentinel.
 """
 
@@ -44,18 +38,14 @@ import signal
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence
-
-from .api.batch import run_task
-from .api.task import SynthesisTask
-from .explore.cache import ResultCache
+from typing import Any, Callable, List, Optional, Sequence
 
 # Imported for the children's benefit under the spawn start method and
 # to keep fork-time import-lock hazards away: everything a worker child
 # touches is loaded before the first fork.
 from .verify import certificate as _certificate  # noqa: F401
 
-__all__ = ["ClaimedTaskEntry", "ProcessWorker", "WorkerCrash", "WorkerPool", "run_claimed_task"]
+__all__ = ["ProcessWorker", "WorkerCrash", "WorkerPool"]
 
 #: A worker entry: one payload in, one picklable outcome out.
 Entry = Callable[[Any], Any]
@@ -78,53 +68,6 @@ class WorkerCrash(RuntimeError):
         super().__init__(f"worker process {pid} died (exitcode {exitcode})")
         self.pid = pid
         self.exitcode = exitcode
-
-
-def run_claimed_task(
-    task: SynthesisTask, cache: Optional[ResultCache], *, verify: bool = True
-) -> Dict[str, Any]:
-    """Run one task through ``run_task`` and return a plain dict.
-
-    ``run_task`` does the single-flight (the store claim, for a readable
-    and writable ``cache``).  Returns the finished record in plain-dict
-    form (feasible or infeasible both count as outcomes); an execution
-    *error* — a certificate rejection, a genuine bug — comes back as
-    ``{"error": …, "error_type": …}`` rather than raising, because the
-    caller may live on the far side of a pipe.
-    """
-    try:
-        return run_task(task, keep_result=False, cache=cache, verify=verify).to_dict()
-    except Exception as exc:  # noqa: BLE001 - shipped across the pipe
-        return {"error": str(exc), "error_type": type(exc).__name__}
-
-
-class ClaimedTaskEntry:
-    """Entry running ``{"task": …}`` payloads through :func:`run_claimed_task`.
-
-    The child opens ``cache_dir`` with the ``read``/``write`` flags on its
-    first payload and keeps it; ``cache_dir=None`` runs cacheless.
-    """
-
-    def __init__(
-        self,
-        cache_dir: Optional[str] = None,
-        *,
-        read: bool = True,
-        write: bool = True,
-        verify: bool = True,
-    ) -> None:
-        self.cache_dir = cache_dir
-        self.read = read
-        self.write = write
-        self.verify = verify
-        self._cache: Optional[ResultCache] = None
-
-    def __call__(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        if self._cache is None and self.cache_dir is not None:
-            self._cache = ResultCache(self.cache_dir, read=self.read, write=self.write)
-        return run_claimed_task(
-            SynthesisTask.from_dict(payload["task"]), self._cache, verify=self.verify
-        )
 
 
 #: In a worker child, its end of the pipe to the parent.
@@ -186,13 +129,25 @@ def _child_main(conn, entry: Entry) -> None:
             return
 
 
+def _reap(process, timeout: float) -> None:
+    """Wait up to ``timeout`` seconds for ``process`` to exit, by pid.
+
+    ``Process.join`` waits on multiprocessing's sentinel pipe, which every
+    process the child forked (a deadline race's contenders) still holds
+    open; ``exitcode`` asks ``waitpid`` about the child alone.
+    """
+    deadline = time.monotonic() + timeout
+    while process.exitcode is None and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
 def _kill(process, timeout: float = 2.0) -> None:
     """SIGTERM, then SIGKILL, a child that is still running."""
     process.terminate()
-    process.join(timeout)
-    if process.is_alive():  # pragma: no cover - SIGTERM ignored
+    _reap(process, timeout)
+    if process.exitcode is None:  # pragma: no cover - SIGTERM ignored
         process.kill()
-        process.join(timeout)
+        _reap(process, timeout)
 
 
 class ProcessWorker:
@@ -226,11 +181,7 @@ class ProcessWorker:
         return self._conn
 
     def _crash(self) -> WorkerCrash:
-        # reap by pid: ``join`` waits on a pipe that the dead child's own
-        # children still hold open
-        deadline = time.monotonic() + 5.0
-        while self._process.exitcode is None and time.monotonic() < deadline:
-            time.sleep(0.001)
+        _reap(self._process, 5.0)
         return WorkerCrash(self._process.pid, self._process.exitcode)
 
     def submit(self, payload: Any) -> None:
@@ -271,7 +222,7 @@ class ProcessWorker:
             self._conn.send(None)
         except OSError:
             pass
-        self._process.join(timeout)
+        _reap(self._process, timeout)
         self.kill()
 
 

@@ -36,6 +36,10 @@ class ValidationError(CDFGError):
         self.problems = list(problems)
         super().__init__("; ".join(problems))
 
+    def __reduce__(self):
+        # default pickling would split the joined message into characters
+        return (ValidationError, (self.problems,))
+
 
 def collect_problems(cdfg: CDFG) -> List[str]:
     """Return a list of human-readable structural problems (empty if valid).

@@ -7,8 +7,7 @@ The subsystem has three layers:
 * :mod:`repro.lp.simplex` / :mod:`repro.lp.branch_bound` — a bounded
   -variable two-phase simplex and a group-branching branch-and-bound,
   both pure stdlib, whose verdicts are proofs rather than tolerance
-  calls; :mod:`repro.lp.solver` makes the MILP backend pluggable
-  (:data:`MILP_SOLVERS`) for environments that do ship a real solver;
+  calls;
 * :mod:`repro.lp.formulation` — the time-indexed scheduling formulation
   (assignment / precedence / per-cycle power rows over ASAP/ALAP
   mobility windows) with register pressure as a first-class constraint
@@ -34,7 +33,6 @@ from .formulation import (
 )
 from .model import LinearProgram, LPError, as_fraction
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexSolution, solve_lp
-from .solver import MILP_SOLVERS, solve
 
 __all__ = [
     "LinearProgram",
@@ -44,8 +42,6 @@ __all__ = [
     "solve_lp",
     "BranchBoundResult",
     "solve_milp",
-    "MILP_SOLVERS",
-    "solve",
     "OPTIMAL",
     "INFEASIBLE",
     "UNBOUNDED",

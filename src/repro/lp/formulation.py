@@ -45,10 +45,9 @@ from ..scheduling.alap import alap_schedule
 from ..scheduling.asap import asap_schedule
 from ..scheduling.constraints import PowerConstraint
 from ..scheduling.schedule import Schedule, ScheduleError
-from .branch_bound import BranchBoundResult
+from .branch_bound import BranchBoundResult, solve_milp
 from .model import LinearProgram, as_fraction
 from .simplex import INFEASIBLE, OPTIMAL
-from .solver import solve
 
 #: Register-pressure linearizations offered by the formulation.
 MEMORY_MODELS = ("optimistic", "pessimistic")
@@ -378,19 +377,10 @@ def build_schedule_model(
     return model
 
 
-def solve_model(
-    model: ScheduleModel,
-    *,
-    solver: str = "builtin",
-    node_limit: Optional[int] = None,
-) -> BranchBoundResult:
-    """Run a built model through the (pluggable) MILP solver."""
-    return solve(
-        model.program,
-        solver,
-        groups=model.groups,
-        node_limit=node_limit,
-        integral_objective=True,
+def solve_model(model: ScheduleModel, *, node_limit: Optional[int] = None) -> BranchBoundResult:
+    """Run a built model through the exact branch-and-bound."""
+    return solve_milp(
+        model.program, groups=model.groups, node_limit=node_limit, integral_objective=True
     )
 
 
@@ -414,7 +404,6 @@ def ilp_schedule(
     *,
     register_budget: Optional[int] = None,
     memory_model: str = "optimistic",
-    solver: str = "builtin",
     node_limit: Optional[int] = None,
     label: str = "ilp",
 ) -> Schedule:
@@ -438,7 +427,7 @@ def ilp_schedule(
         register_budget=register_budget,
         memory_model=memory_model,
     )
-    outcome = solve_model(model, solver=solver, node_limit=node_limit)
+    outcome = solve_model(model, node_limit=node_limit)
     if outcome.status == INFEASIBLE:
         raise ILPInfeasibleError(
             f"no schedule for {cdfg.name!r} meets T={latency}"
@@ -506,7 +495,6 @@ def minimum_registers(
     *,
     power: Optional[PowerConstraint] = None,
     memory_model: str = "optimistic",
-    solver: str = "builtin",
     node_limit: Optional[int] = None,
 ) -> int:
     """Smallest peak register count any schedule achieves under ``T`` (and ``P``).
@@ -536,7 +524,6 @@ def minimum_registers(
         constraint,
         latency,
         memory_model=memory_model,
-        solver=solver,
         node_limit=node_limit,
         label="ilp.minreg",
     )
@@ -551,7 +538,7 @@ def minimum_registers(
             register_budget=best - 1,
             memory_model=memory_model,
         )
-        outcome = solve_model(model, solver=solver, node_limit=node_limit)
+        outcome = solve_model(model, node_limit=node_limit)
         if outcome.status == INFEASIBLE:
             break  # proof: best is the floor
         if outcome.status != OPTIMAL:

@@ -1,9 +1,8 @@
 """A tiny exact-arithmetic linear-program container.
 
 :class:`LinearProgram` is the interchange format between the formulation
-layer (:mod:`repro.lp.formulation`), the built-in solvers
-(:mod:`repro.lp.simplex`, :mod:`repro.lp.branch_bound`) and any external
-backend registered through :mod:`repro.lp.solver`: variables with
+layer (:mod:`repro.lp.formulation`) and the solvers
+(:mod:`repro.lp.simplex`, :mod:`repro.lp.branch_bound`): variables with
 rational bounds and an integrality flag, linear constraint rows, and a
 minimization objective.
 

@@ -21,6 +21,7 @@ order of the race (see :mod:`repro.portfolio.runner`).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -107,13 +108,7 @@ class PortfolioConfig:
         )
         deadline = config_options.get("portfolio_deadline_s")
         if deadline is not None:
-            if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
-                raise TaskError(
-                    f"portfolio_deadline_s must be a number of seconds, got {deadline!r}"
-                )
-            deadline = float(deadline)
-            if deadline <= 0:
-                raise TaskError(f"portfolio_deadline_s must be positive, got {deadline}")
+            deadline = check_deadline(deadline, "portfolio_deadline_s")
         return cls(strategies=strategies, deadline_s=deadline)
 
     @classmethod
@@ -239,6 +234,16 @@ def portfolio_task(
     return task
 
 
+def check_deadline(value: Any, name: str = "deadline_s") -> float:
+    """``value`` as a deadline in seconds; :class:`TaskError` unless positive and finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TaskError(f"{name} must be a number of seconds, got {value!r}")
+    # NaN and infinity would pass a plain ``> 0`` and break the race's waits
+    if not 0 < value < math.inf:
+        raise TaskError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 def with_deadline(task: SynthesisTask, deadline_s: float) -> SynthesisTask:
     """A copy of a portfolio task with ``portfolio_deadline_s`` set.
 
@@ -255,10 +260,6 @@ def with_deadline(task: SynthesisTask, deadline_s: float) -> SynthesisTask:
             f"deadline_s applies to portfolio tasks only; task scheduler is "
             f"{task.scheduler!r}"
         )
-    if isinstance(deadline_s, bool) or not isinstance(deadline_s, (int, float)):
-        raise TaskError(f"deadline_s must be a number of seconds, got {deadline_s!r}")
-    if float(deadline_s) <= 0:
-        raise TaskError(f"deadline_s must be positive, got {deadline_s}")
     options = dict(task.options)
-    options["portfolio_deadline_s"] = float(deadline_s)
+    options["portfolio_deadline_s"] = check_deadline(deadline_s)
     return dataclasses.replace(task, options=options)

@@ -20,10 +20,10 @@ executors implement the seam:
   drivable with zero wall-clock sleeps.
 
 Outcomes use one currency throughout: the record dict a finished
-:class:`~repro.api.batch.TaskResult` serializes to, or the
-``{"error": …, "error_type": …}`` dict of
-:func:`~repro.exec.run_claimed_task` — a crashed child arrives as
-``error_type="WorkerCrash"`` exactly like a serve worker's death.
+:class:`~repro.api.batch.TaskResult` serializes to, or, for a contender
+that raised, ``{"error": str(exc), "error_type": type(exc).__name__}`` —
+a crashed child arrives as ``error_type="WorkerCrash"`` exactly like a
+serve worker's death.
 """
 
 from __future__ import annotations
@@ -101,18 +101,21 @@ class ManualClock:
         self.now += float(seconds)
 
 
+def _error_outcome(exc: Exception) -> Dict[str, Any]:
+    return {"error": str(exc), "error_type": type(exc).__name__}
+
+
 class _ContenderExecutor(RaceExecutor):
     """What the production executors share.
 
-    Every contender runs through :func:`~repro.exec.run_claimed_task`
-    against ``cache``, with ``verify``; ``_live`` maps each launched,
+    Every contender runs :func:`~repro.api.batch.run_task` with
+    ``verify=True`` against ``cache``; ``_live`` maps each launched,
     unfinished contender's index to its state (the queued contender, or
     its worker).
     """
 
-    def __init__(self, cache=None, *, verify: bool = True) -> None:
+    def __init__(self, cache=None) -> None:
         self.cache = cache
-        self.verify = verify
         self._live: Dict[int, Any] = {}
 
 
@@ -120,24 +123,29 @@ class InlineExecutor(_ContenderExecutor):
     """The deadline-less race executor: contenders run in this process, in order.
 
     :meth:`launch` only queues a contender; each :meth:`poll` runs the
-    lowest-index live one through :func:`~repro.exec.run_claimed_task`
-    against the caller's own cache object and returns the same record or
-    error dict a forked child would.  A cancelled contender never runs.
-    Nothing can interrupt a running contender, and a hard crash of one
-    (``os._exit``, a segfault) takes down the calling process — which is
-    why deadline races use :class:`ProcessExecutor` instead.
+    lowest-index live one against the caller's own cache object and
+    returns the same record or error dict a forked child would.  A
+    cancelled contender never runs.  Nothing can interrupt a running
+    contender, and a hard crash of one (``os._exit``, a segfault) takes
+    down the calling process — which is why deadline races use
+    :class:`ProcessExecutor` instead.
     """
 
     def launch(self, contender: Contender) -> None:
         self._live[contender.index] = contender
 
     def poll(self, timeout: Optional[float] = None) -> Optional[Completion]:
-        from ..exec import run_claimed_task  # import repro loads no repro.exec
+        from ..api.batch import run_task  # avoid a cycle
 
         if not self._live:
             return None
         contender = self._live.pop(min(self._live))
-        outcome = run_claimed_task(contender.task, self.cache, verify=self.verify)
+        try:
+            outcome = run_task(
+                contender.task, keep_result=False, cache=self.cache, verify=True
+            ).to_dict()
+        except Exception as exc:  # noqa: BLE001 - a contender's error is its outcome
+            outcome = _error_outcome(exc)
         return (contender.index, outcome)
 
     def cancel(self, contender: Contender) -> None:
@@ -147,27 +155,22 @@ class InlineExecutor(_ContenderExecutor):
 class ProcessExecutor(_ContenderExecutor):
     """The deadline race executor: one fresh :class:`~repro.exec.ProcessWorker` per contender.
 
-    Contenders run :func:`~repro.exec.run_claimed_task` against the
-    caller's cache directory, opened with the caller's read/write flags
-    (or none).  :meth:`poll` returns whichever contender answers first; a
-    child that dies mid-job is a ``WorkerCrash``-typed outcome.
+    Each child runs :func:`~repro.api.batch._run_task_payload`, against
+    the caller's cache directory when that cache writes (see
+    :func:`~repro.api.batch.worker_payload`).  :meth:`poll` returns
+    whichever contender answers first; a child that dies mid-job is a
+    ``WorkerCrash``-typed outcome.
     :meth:`cancel` kills the loser's child outright, which is what makes
     a deadline a bound on every path.
     """
 
     def launch(self, contender: Contender) -> None:
-        from ..exec import ClaimedTaskEntry, ProcessWorker, WorkerCrash
+        from ..api.batch import _run_task_payload, worker_payload
+        from ..exec import ProcessWorker, WorkerCrash
 
-        root = getattr(self.cache, "root", None)
-        entry = ClaimedTaskEntry(
-            None if root is None else str(root),
-            read=getattr(self.cache, "read", False),
-            write=getattr(self.cache, "write", False),
-            verify=self.verify,
-        )
-        worker = ProcessWorker(entry, name=f"repro-portfolio-{contender.label}")
+        worker = ProcessWorker(_run_task_payload, name=f"repro-portfolio-{contender.label}")
         try:
-            worker.submit({"task": contender.task.to_dict()})
+            worker.submit(worker_payload(contender.task, self.cache, verify=True))
         except WorkerCrash:
             pass  # the dead pipe answers the next poll as a crash
         self._live[contender.index] = worker
@@ -186,7 +189,7 @@ class ProcessExecutor(_ContenderExecutor):
         try:
             outcome = worker.receive()
         except Exception as exc:  # noqa: BLE001 - a WorkerCrash or the child's error, as an outcome
-            outcome = {"error": str(exc), "error_type": type(exc).__name__}
+            outcome = _error_outcome(exc)
         else:
             worker.stop(timeout=0.2)
         return (index, outcome)

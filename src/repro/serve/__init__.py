@@ -44,7 +44,7 @@ From the command line: ``repro serve --port 8642`` and
 ``repro submit batch.json --url http://127.0.0.1:8642 --wait``.
 """
 
-from ..exec import ProcessWorker, WorkerCrash, run_claimed_task
+from ..exec import WorkerCrash
 from .client import Client, ClientError
 from .http import ServerHandle, Submission, SynthesisServer, parse_submission, start_server
 from .queue import Job, JobQueue, QueueError, QueueFullError
@@ -55,7 +55,6 @@ __all__ = [
     "ClientError",
     "Job",
     "JobQueue",
-    "ProcessWorker",
     "QueueError",
     "QueueFullError",
     "ServerHandle",
@@ -65,6 +64,5 @@ __all__ = [
     "SynthesisService",
     "WorkerCrash",
     "parse_submission",
-    "run_claimed_task",
     "start_server",
 ]

@@ -60,6 +60,7 @@ from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..api.task import TaskError, SynthesisTask, tasks_from_payload
+from ..portfolio.config import check_deadline
 from ..registries import UnknownStrategyError
 from .queue import QueueFullError, compact_json
 from .service import SynthesisService
@@ -112,12 +113,7 @@ def parse_submission(text: str) -> Submission:
             raise TaskError(f"priority must be an integer, got {raw!r}")
         priority = raw
     if isinstance(payload, dict) and "deadline_s" in payload:
-        raw = payload.pop("deadline_s")
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise TaskError(f"deadline_s must be a number of seconds, got {raw!r}")
-        if float(raw) <= 0:
-            raise TaskError(f"deadline_s must be positive, got {raw!r}")
-        deadline_s = float(raw)
+        deadline_s = check_deadline(payload.pop("deadline_s"))
     if isinstance(payload, dict) and "graph" in payload:
         return Submission([SynthesisTask.from_dict(payload)], priority, deadline_s)
     return Submission(tasks_from_payload(payload), priority, deadline_s)

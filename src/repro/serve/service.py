@@ -66,9 +66,9 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from ..api.batch import BatchSummary, TaskResult
+from ..api.batch import BatchSummary, TaskResult, _run_task_payload, worker_payload
 from ..api.task import SynthesisTask
-from ..exec import ClaimedTaskEntry, WorkerCrash, WorkerPool
+from ..exec import WorkerCrash, WorkerPool
 from ..explore.cache import ResultCache
 from .queue import Job, JobQueue, QueueError, QueueFullError
 
@@ -166,11 +166,7 @@ class SynthesisService:
             return self
         self.started_at = time.time()
         self._stop.clear()
-        self._pool = WorkerPool(
-            self.workers,
-            ClaimedTaskEntry(str(self.cache.root), verify=self.verify),
-            name="repro-serve-child",
-        )
+        self._pool = WorkerPool(self.workers, _run_task_payload, name="repro-serve-child")
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -352,7 +348,7 @@ class SynthesisService:
             self.queue.finish(job, record=hit.to_dict())
             return
         try:
-            outcome = self._pool.run({"task": job.task.to_dict()})
+            outcome = self._pool.run(worker_payload(job.task, self.cache, verify=self.verify))
         except WorkerCrash as crash:
             with self._guard:
                 self._worker_crashes += 1
@@ -363,14 +359,12 @@ class SynthesisService:
             self._note_failure(job, message, "WorkerCrash")
             self.queue.finish(job, error=message, error_type="WorkerCrash")
             return
-        if "feasible" not in outcome:
+        except Exception as exc:  # noqa: BLE001 - the child's error fails the job
             # an execution *error* (certificate rejection, genuine bug),
             # not an infeasible record — those come back as data with
             # feasible=False and their own error fields
-            self._note_failure(job, outcome.get("error", ""), outcome["error_type"])
-            self.queue.finish(
-                job, error=outcome.get("error", ""), error_type=outcome["error_type"]
-            )
+            self._note_failure(job, str(exc), type(exc).__name__)
+            self.queue.finish(job, error=str(exc), error_type=type(exc).__name__)
             return
         self._note_record(job, TaskResult.from_dict(outcome))
         self.queue.finish(job, record=outcome)

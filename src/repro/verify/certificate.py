@@ -71,6 +71,10 @@ class CertificateError(SynthesisError, ScheduleError):
         self.report = report
         super().__init__(report.describe())
 
+    def __reduce__(self):
+        # default pickling would pass the formatted message as the report
+        return (CertificateError, (self.report,))
+
 
 @dataclass(frozen=True)
 class Violation:

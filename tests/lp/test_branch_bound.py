@@ -1,14 +1,10 @@
-"""Hand-checked MILPs for the branch-and-bound and the solver registry."""
+"""Hand-checked MILPs for the branch-and-bound."""
 
 from fractions import Fraction
 
-import pytest
-
-from repro.lp.branch_bound import LIMIT, BranchBoundResult, solve_milp
+from repro.lp.branch_bound import LIMIT, solve_milp
 from repro.lp.model import LESS, EQUAL, LinearProgram
 from repro.lp.simplex import INFEASIBLE, OPTIMAL
-from repro.lp.solver import MILP_SOLVERS, solve
-from repro.registries import UnknownStrategyError
 
 
 def knapsack():
@@ -89,30 +85,3 @@ def test_integral_objective_rounding_is_safe():
     assert solve_milp(lp).objective == Fraction(-2)
     assert solve_milp(lp, integral_objective=True).objective == Fraction(-2)
 
-
-class TestSolverRegistry:
-    def test_builtin_is_registered(self):
-        assert "builtin" in MILP_SOLVERS.names()
-        lp, _ = knapsack()
-        assert solve(lp).objective == Fraction(-8)
-
-    def test_unknown_solver_raises(self):
-        lp, _ = knapsack()
-        with pytest.raises(UnknownStrategyError):
-            solve(lp, "cplex")
-
-    def test_external_backend_dispatch(self):
-        calls = []
-
-        def fake_backend(program, **options):
-            calls.append((program.name, options))
-            return BranchBoundResult(status=LIMIT)
-
-        MILP_SOLVERS.register("fake", fake_backend)
-        try:
-            lp, _ = knapsack()
-            result = solve(lp, "fake", node_limit=7)
-            assert result.status == LIMIT
-            assert calls == [("knapsack", {"node_limit": 7})]
-        finally:
-            MILP_SOLVERS.unregister("fake")

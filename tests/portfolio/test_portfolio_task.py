@@ -17,6 +17,7 @@ from repro.api.batch import TaskResult
 from repro.api.task import TaskError
 from repro.portfolio import PortfolioConfig, portfolio_task
 from repro.portfolio.config import DEFAULT_STRATEGIES, pair_label, with_deadline
+from repro.serve.http import parse_submission
 from repro.suite import hal_cdfg
 
 
@@ -44,6 +45,19 @@ class TestConfigParsing:
     def test_rejects_malformed_deadlines(self, bad):
         with pytest.raises(TaskError):
             PortfolioConfig.from_options({"portfolio_deadline_s": bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_every_deadline_entry_rejects_non_finite_deadlines(self, bad):
+        # each used to pass the positivity check and crash the race's wait
+        with pytest.raises(TaskError):
+            PortfolioConfig.from_options({"portfolio_deadline_s": bad})
+        with pytest.raises(TaskError):
+            with_deadline(portfolio_task("hal", latency=17), bad)
+        with pytest.raises(TaskError):
+            parse_submission(
+                '{"graph": "hal", "latency": 17, "scheduler": "portfolio",'
+                f' "deadline_s": {json.dumps(bad)}}}'
+            )
 
     def test_options_split_keeps_engine_overrides(self):
         config, overrides = PortfolioConfig.from_task_options(

@@ -51,11 +51,11 @@ class TestExecution:
         def rejecting_run_task(*_args, **_kwargs):
             raise CertificateError(report)
 
-        import repro.exec as exec_module
+        import repro.api.batch as batch_module
 
         # patched before the service starts: worker children are forked
         # (exec._context), so they inherit the rejecting run_task
-        monkeypatch.setattr(exec_module, "run_task", rejecting_run_task)
+        monkeypatch.setattr(batch_module, "run_task", rejecting_run_task)
         with SynthesisService(tmp_path, workers=1) as service:
             (job,) = service.submit_many([task()])
             service.wait([job], timeout=10)

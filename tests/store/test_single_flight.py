@@ -16,8 +16,8 @@ import pytest
 
 from repro.api.batch import run_batch, run_task
 from repro.api.task import SynthesisTask
-from repro.exec import run_claimed_task
 from repro.explore.cache import ResultCache, load_journal
+from repro.portfolio.executors import Contender, InlineExecutor
 from repro.store import claims, iter_journal_payloads
 
 CTX = multiprocessing.get_context("fork")
@@ -75,6 +75,13 @@ def _waiter_behind_foreign_claim(tmp_path, run):
     return outcome, cache
 
 
+def _run_as_contender(task, cache):
+    """``task``'s outcome dict as a deadline-less race runs a contender."""
+    executor = InlineExecutor(cache)
+    executor.launch(Contender(0, task.scheduler, task.scheduler, task.binder, task))
+    return executor.poll()[1]
+
+
 class TestWaitOnForeignClaim:
     def test_run_task_returns_the_holders_record(self, tmp_path):
         record, cache = _waiter_behind_foreign_claim(
@@ -89,7 +96,7 @@ class TestWaitOnForeignClaim:
     def test_waiting_counts_one_lookup(self, tmp_path):
         # a race contender behind another process's claim: its polls use
         # peek, so the caller's stats see the task's one miss only
-        outcome, cache = _waiter_behind_foreign_claim(tmp_path, run_claimed_task)
+        outcome, cache = _waiter_behind_foreign_claim(tmp_path, _run_as_contender)
         assert outcome["cached"] is True
         assert (cache.stats.hits, cache.stats.misses, cache.stats.writes) == (0, 1, 0)
         assert len(load_journal(tmp_path)) == 1

@@ -6,6 +6,7 @@ any scheduler registered in this process) reach the children as-is.
 
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -18,7 +19,9 @@ import pytest
 from repro.api.batch import run_batch
 from repro.api.task import SynthesisTask
 from repro.exec import ProcessWorker, WorkerCrash, WorkerPool
-from repro.registries import SCHEDULERS
+from repro.ir.validate import ValidationError
+from repro.registries import SCHEDULERS, UnknownStrategyError
+from repro.verify.certificate import CertificateError, CertificateReport, Violation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -136,6 +139,62 @@ def test_killed_worker_crashes_at_once_while_its_grandchild_lives():
         while not _gone(grandchild) and time.monotonic() < deadline:
             time.sleep(0.01)
     assert _gone(grandchild)
+
+
+def _kill_and_await(pid: int) -> None:
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 5.0
+    while not _gone(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _gone(pid)
+
+
+def test_stop_does_not_wait_for_a_grandchild():
+    worker = ProcessWorker(fork_sleeper)
+    grandchild = worker.run("fork")
+    try:
+        started = time.monotonic()
+        worker.stop()
+        assert time.monotonic() - started < 1.0
+        assert not worker.alive and not _gone(grandchild)
+    finally:
+        worker.kill()
+        _kill_and_await(grandchild)
+
+
+def test_pool_close_does_not_wait_for_a_grandchild():
+    pool = WorkerPool(2, fork_sleeper)
+    grandchild = pool.run("fork")
+    try:
+        started = time.monotonic()
+        pool.close()
+        assert time.monotonic() - started < 1.0
+        assert pool.pids() == [] and not _gone(grandchild)
+    finally:
+        _kill_and_await(grandchild)
+    assert multiprocessing.active_children() == []
+
+
+_REPORT = CertificateReport(
+    graph="hal", checks=["latency"], violations=[Violation("latency", "t", "late")]
+)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        UnknownStrategyError("scheduler", "nope", ["engine", "ilp"]),
+        CertificateError(_REPORT),
+        ValidationError(["a", "b"]),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_repro_exceptions_cross_the_pipe_intact(error):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert getattr(copy, "report", None) == getattr(error, "report", None)
+    assert getattr(copy, "problems", None) == getattr(error, "problems", None)
 
 
 @pytest.fixture()
