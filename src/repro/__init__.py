@@ -137,7 +137,7 @@ from .lp import (
     solve_milp,
 )
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 #: Names resolved from :mod:`repro.serve` on first access (PEP 562).
 #: The serving layer registers no strategy, so deferring it leaves every

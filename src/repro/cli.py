@@ -215,9 +215,10 @@ def _synthesize_portfolio(
     except TaskError as exc:
         raise SystemExit(f"bad portfolio task: {exc}")
     record = outcome.record
-    if cache is not None and cache.write and outcome.cacheable:
+    if cache is not None and cache.write and outcome.cacheable and cache.peek(task) is None:
         # file the portfolio-level verdict too (run_task does the same),
-        # so a --resume re-race answers without launching anything
+        # so a --resume re-race answers without launching anything; a
+        # --resume run files nothing the cache already holds
         cache.put(task, record)
     if not record.feasible:
         print(f"infeasible: {record.error}", file=sys.stderr)

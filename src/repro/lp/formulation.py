@@ -35,7 +35,7 @@ solver works in exact rational arithmetic — which is what qualifies the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -106,8 +106,6 @@ class ScheduleModel:
     makespan: Optional[int] = None
     latency: int = 0
     memory_model: Optional[str] = None
-    #: Diagnostic counts (strong vs compact precedence, skipped rows).
-    stats: Dict[str, int] = field(default_factory=dict)
 
     def decode_starts(self, values: Sequence[Fraction]) -> Dict[str, int]:
         """Start times from an integral solution vector."""
@@ -165,7 +163,6 @@ def build_schedule_model(
     *,
     register_budget: Optional[int] = None,
     memory_model: str = "optimistic",
-    strong_row_cap: int = STRONG_ROW_CAP,
 ) -> ScheduleModel:
     """Build the time-indexed MILP for one scheduling instance.
 
@@ -180,8 +177,6 @@ def build_schedule_model(
             this count (a new constraint dimension).
         memory_model: ``"optimistic"`` (values share storage across
             consumers) or ``"pessimistic"`` (one register per live edge).
-        strong_row_cap: Row budget above which precedence switches to
-            the compact form.
 
     Returns:
         A :class:`ScheduleModel` ready for :func:`solve_model`.
@@ -245,8 +240,7 @@ def build_schedule_model(
         strong_rows += max(
             0, min(late_c, late_p + delays[producer] - 1) - early_c + 1
         )
-    use_strong = strong_rows <= strong_row_cap
-    model.stats["precedence_form"] = 1 if use_strong else 0
+    use_strong = strong_rows <= STRONG_ROW_CAP
     for producer, consumer in cdfg.edges():
         delay = delays[producer]
         early_c, late_c = windows[consumer]
@@ -274,30 +268,28 @@ def build_schedule_model(
     # --- per-cycle power budget --------------------------------------- #
     if not power.is_unbounded:
         budget = as_fraction(power.max_power) + as_fraction(power.tolerance)
-        skipped = 0
+        draws = {
+            name: as_fraction(powers[name])
+            for name in order
+            if powers[name] > 0 and delays[name] > 0
+        }
         for cycle in range(latency):
             row = {}
             possible = Fraction(0)
-            for name in order:
-                draw = powers[name]
-                delay = delays[name]
-                if draw <= 0 or delay <= 0:
-                    continue
+            for name, draw in draws.items():
                 early, late = windows[name]
-                lo = max(early, cycle - delay + 1)
+                lo = max(early, cycle - delays[name] + 1)
                 hi = min(late, cycle)
                 if lo > hi:
                     continue
-                draw_f = as_fraction(draw)
-                possible += draw_f
+                possible += draw
+                # Each (operation, start) is its own variable: no entry
+                # of the row repeats.
                 for t in range(lo, hi + 1):
-                    index = model.starts[(name, t)]
-                    row[index] = row.get(index, Fraction(0)) + draw_f
+                    row[model.starts[(name, t)]] = draw
             if possible <= budget:
-                skipped += 1
                 continue  # this cycle can never exceed the budget
             program.add_constraint(row, "<=", budget, name=f"power[{cycle}]")
-        model.stats["power_rows_skipped"] = skipped
 
     # --- register pressure -------------------------------------------- #
     if register_budget is not None:
@@ -327,7 +319,7 @@ def build_schedule_model(
                 continue
             if terms <= register_budget:
                 continue  # this cycle can never exceed the budget
-            usage: Dict[int, Fraction] = {}
+            usage: Dict[int, int] = {}
             for producer, live_edges in live:
                 finished = started_by(producer, cycle - delays[producer])
                 if memory_model == "optimistic" and len(live_edges) > 1:
@@ -337,21 +329,21 @@ def build_schedule_model(
                         f"v[{producer},{cycle}]", lower=0, upper=1
                     )
                     for consumer in live_edges:
-                        row = {proxy: Fraction(-1)}
+                        row = {proxy: -1}
                         for index, coefficient in finished.items():
-                            row[index] = row.get(index, Fraction(0)) + coefficient
+                            row[index] = row.get(index, 0) + coefficient
                         for index, coefficient in started_by(consumer, cycle - 1).items():
-                            row[index] = row.get(index, Fraction(0)) - coefficient
+                            row[index] = row.get(index, 0) - coefficient
                         program.add_constraint(
                             row, "<=", 0, name=f"live[{producer}->{consumer}@{cycle}]"
                         )
-                    usage[proxy] = usage.get(proxy, Fraction(0)) + 1
+                    usage[proxy] = usage.get(proxy, 0) + 1
                 else:
                     for consumer in live_edges:
                         for index, coefficient in finished.items():
-                            usage[index] = usage.get(index, Fraction(0)) + coefficient
+                            usage[index] = usage.get(index, 0) + coefficient
                         for index, coefficient in started_by(consumer, cycle - 1).items():
-                            usage[index] = usage.get(index, Fraction(0)) - coefficient
+                            usage[index] = usage.get(index, 0) - coefficient
             program.add_constraint(
                 usage, "<=", register_budget, name=f"regs[{cycle}]"
             )
@@ -365,11 +357,11 @@ def build_schedule_model(
     )
     model.makespan = makespan
     for name in cdfg.sinks():
-        row = {makespan: Fraction(1)}
+        row = {makespan: 1}
         early, late = windows[name]
         for cycle in range(early, late + 1):
             if cycle:
-                row[model.starts[(name, cycle)]] = Fraction(-cycle)
+                row[model.starts[(name, cycle)]] = -cycle
         program.add_constraint(
             row, ">=", delays[name], name=f"makespan[{name}]"
         )

@@ -6,13 +6,14 @@ layer (:mod:`repro.lp.formulation`) and the solvers
 rational bounds and an integrality flag, linear constraint rows, and a
 minimization objective.
 
-Everything is held as :class:`fractions.Fraction`, so the solvers never
-face round-off — a verdict of "infeasible" from the branch-and-bound is
-a proof, not a tolerance call.  Floats entering through
-:func:`as_fraction` are converted via their shortest ``repr`` (so the
-float written as ``0.1`` becomes exactly ``1/10``, not the nearest
-binary fraction), matching how the rest of the code base treats task
-powers and budgets as decimal literals.
+Everything is exact, so the solvers never face round-off — a verdict of
+"infeasible" from the branch-and-bound is a proof, not a tolerance call.
+Constraint rows are int numerators over a row denominator, the simplex
+tableau's own form; the rest is :class:`fractions.Fraction`.  Floats
+entering through :func:`as_fraction` are converted via their shortest
+``repr`` (so the float written as ``0.1`` becomes exactly ``1/10``, not
+the nearest binary fraction), matching how the rest of the code base
+treats task powers and budgets as decimal literals.
 
 This module imports nothing outside the standard library.
 """
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 #: Constraint senses accepted by :meth:`LinearProgram.add_constraint`.
 LESS = "<="
@@ -76,17 +77,22 @@ class Variable:
     upper: Optional[Fraction]
     integer: bool = False
 
-    @property
-    def is_fixed(self) -> bool:
-        """True when the bounds pin the variable to a single value."""
-        return self.upper is not None and self.upper == self.lower
+
+def integer_row(terms: Iterable[Tuple[int, Rational]]) -> Tuple[Dict[int, int], int]:
+    """Nonzero ``(index, value)`` terms as int numerators over their least
+    common denominator: the row form the simplex tableau works in."""
+    terms = [(index, value.numerator, value.denominator) for index, value in terms]
+    den = math.lcm(*(d for _, _, d in terms))
+    return {index: n * (den // d) for index, n, d in terms}, den
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """One linear row: ``sum(coef * var) sense rhs``."""
+    """One linear row ``sum(row[var] / den * var) sense rhs``: nonzero
+    coefficients as int numerators over their least common denominator."""
 
-    coefficients: Tuple[Tuple[int, Fraction], ...]
+    row: Dict[int, int]
+    den: int
     sense: str
     rhs: Fraction
     name: str = ""
@@ -146,19 +152,21 @@ class LinearProgram:
     ) -> Optional[int]:
         """Add a row ``sum(coef * var) sense rhs``; returns its index.
 
-        Zero coefficients are dropped.  A row left with no variables is
-        checked as a constant: a satisfied one is silently skipped
-        (returns ``None``), a violated one raises — the model is
+        The row is stored once, as a :class:`Constraint` in the tableau's
+        int form.  Zero coefficients are dropped.  A row left with no
+        variables is checked as a constant: a satisfied one is silently
+        skipped (returns ``None``), a violated one raises — the model is
         structurally infeasible and the caller should know at build time.
         """
         if sense not in _SENSES:
             raise LPError(f"unknown constraint sense {sense!r}; use one of {_SENSES}")
         rhs_value = as_fraction(rhs)
-        terms: List[Tuple[int, Fraction]] = []
+        terms: List[Tuple[int, Rational]] = []
         for index, coefficient in coefficients.items():
             if not 0 <= index < len(self.variables):
                 raise LPError(f"constraint references unknown variable {index}")
-            value = as_fraction(coefficient)
+            # An int already carries .numerator and .denominator.
+            value = coefficient if type(coefficient) is int else as_fraction(coefficient)
             if value:
                 terms.append((index, value))
         if not terms:
@@ -173,7 +181,7 @@ class LinearProgram:
                     f"unsatisfiable: 0 {sense} {rhs_value}"
                 )
             return None
-        self.constraints.append(Constraint(tuple(terms), sense, rhs_value, name))
+        self.constraints.append(Constraint(*integer_row(terms), sense, rhs_value, name))
         return len(self.constraints) - 1
 
     def set_objective(self, coefficients: Mapping[int, Number]) -> None:

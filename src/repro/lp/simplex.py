@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .model import GREATER, LESS, LinearProgram, LPError
+from .model import GREATER, LESS, LinearProgram, LPError, integer_row
 
 #: Solution statuses.
 OPTIMAL = "optimal"
@@ -62,13 +62,6 @@ Bounds = Mapping[int, Tuple[Fraction, Optional[Fraction]]]
 def _reduce(num: int, den: int) -> Rat:
     g = gcd(num, den)
     return (num // g, den // g) if g > 1 else (num, den)
-
-
-def _integer_row(values: Mapping[int, Fraction]) -> Tuple[Row, int]:
-    """``values`` as int numerators over their least common denominator."""
-    terms = [(index, value.numerator, value.denominator) for index, value in values.items()]
-    den = lcm(*(d for _, _, d in terms))
-    return {index: n * (den // d) for index, n, d in terms if n}, den
 
 
 def _eliminate(row: Row, den: int, factor: int, pivot: List[Tuple[int, int]],
@@ -124,9 +117,11 @@ class SimplexSolution:
 class PreparedProgram:
     """A program's constraint matrix in tableau form, built once.
 
-    Holds each row as int numerators over a row denominator, so the
-    branch-and-bound solves every node from one conversion of the
-    program's ``Fraction`` data.  :meth:`solve` never mutates it.
+    Takes the program's rows as they are (int numerators over a row
+    denominator) and adds each row's residual at the lower bounds, so
+    the branch-and-bound solves every node from one preparation.
+    :meth:`solve` never mutates it, nor the rows it shares with the
+    program.
     """
 
     def __init__(self, program: LinearProgram) -> None:
@@ -141,26 +136,20 @@ class PreparedProgram:
             index for index, bounds in enumerate(zip(self.lower, self.upper))
             if bounds[0] == bounds[1]
         )
-        self.rows: List[Row] = []
-        self.dens: List[int] = []
-        self.senses: List[str] = []
-        self.residuals: List[Rat] = []  # each row's rhs minus its terms at the lower bounds
-        lifted = {i: variables[i].lower for i, low in enumerate(self.lower) if low[0]}
+        self.rows: List[Row] = [c.row for c in program.constraints]
+        self.dens: List[int] = [c.den for c in program.constraints]
+        self.senses: List[str] = [c.sense for c in program.constraints]
+        # Each row's rhs minus its terms at the lower bounds.
+        self.residuals: List[Rat] = []
+        lifted = {i: low for i, low in enumerate(self.lower) if low[0]}
         for constraint in program.constraints:
-            merged = dict(constraint.coefficients)
-            if len(merged) < len(constraint.coefficients):  # repeated variables add up
-                merged = dict.fromkeys(merged, Fraction(0))
-                for index, coefficient in constraint.coefficients:
-                    merged[index] += coefficient
-            residual = constraint.rhs
-            for index in lifted.keys() & merged.keys():
-                residual -= merged[index] * lifted[index]
-            row, den = _integer_row(merged)
-            self.rows.append(row)
-            self.dens.append(den)
-            self.senses.append(constraint.sense)
-            self.residuals.append((residual.numerator, residual.denominator))
-        self.objective = _integer_row(program.objective)
+            row, den = constraint.row, constraint.den
+            rn, rd = constraint.rhs.numerator, constraint.rhs.denominator
+            for index in lifted.keys() & row.keys():
+                ln, ld = lifted[index]
+                rn, rd = rn * den * ld - row[index] * ln * rd, rd * den * ld
+            self.residuals.append(_reduce(rn, rd))
+        self.objective = integer_row(program.objective.items())
 
     def solve(self, bounds: Optional[Bounds] = None) -> SimplexSolution:
         """Solve the relaxation under per-variable ``(lower, upper)`` overrides."""

@@ -117,11 +117,14 @@ def _search(
     ``best`` is a two-slot cell: ``best[0]`` holds the incumbent makespan
     and ``best[1]`` the start-time map achieving it.
 
-    Two sound prunes keep the enumeration away from provably-worse
+    Three sound prunes keep the enumeration away from provably-worse
     branches without ever changing which improving schedules are found
     (so the incumbent sequence — and the returned schedule — is
     identical to the unpruned search):
 
+    * the **horizon bound** ``candidate + tail[name] > horizon`` cuts a
+      candidate whose downstream chain cannot finish by the horizon, so
+      an infeasible instance is not enumerated start by start,
     * the memoized **tail bound** ``candidate + tail[name] >= best``
       cuts a candidate whose downstream chain alone already reaches the
       incumbent makespan, and
@@ -149,6 +152,10 @@ def _search(
     op_power = powers[name]
     op_tail = tail[name]
     for candidate in range(data_ready, horizon - op_delay + 1):
+        # Prune: the chain below this operation cannot end by the horizon,
+        # so no completion exists here or at any later candidate.
+        if candidate + op_tail > horizon:
+            break
         # Prune: the dependence chain below this operation alone already
         # finishes no earlier than the incumbent makespan, and later
         # candidates only finish later.

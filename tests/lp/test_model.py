@@ -47,7 +47,21 @@ class TestLinearProgram:
         x = lp.add_variable("x")
         y = lp.add_variable("y")
         row = lp.add_constraint({x: 1, y: 0}, LESS, 4)
-        assert lp.constraints[row].coefficients == ((x, Fraction(1)),)
+        assert lp.constraints[row].row == {x: 1}
+        assert lp.constraints[row].den == 1
+
+    def test_rows_are_int_numerators_over_the_least_common_denominator(self):
+        lp = LinearProgram()
+        x, y, z, w = (lp.add_variable(name) for name in "xyzw")
+        coefficients = {x: 3, y: 0.25, z: Fraction(-2, 3), w: 0.1}
+        row = lp.constraints[lp.add_constraint(coefficients, LESS, 2.5)]
+        assert row.den == 60
+        assert all(type(value) is int for value in row.row.values())
+        assert {i: Fraction(v, row.den) for i, v in row.row.items()} == {
+            x: Fraction(3), y: Fraction(1, 4), z: Fraction(-2, 3), w: Fraction(1, 10)
+        }
+        assert list(row.row) == [x, y, z, w]
+        assert row.rhs == Fraction(5, 2)
 
     def test_satisfied_constant_row_is_skipped(self):
         lp = LinearProgram()

@@ -308,6 +308,18 @@ class TestCacheFlags:
         assert "2 cache hit(s), 0 computed" in out
         assert "2 hit(s), 0 miss(es)" in out
 
+    def test_portfolio_resume_files_each_key_once(self, tmp_path, capsys):
+        from repro.store import iter_journal_payloads
+
+        args = ["synthesize", "-b", "hal", "-T", "17", "-P", "12",
+                "--scheduler", "portfolio", "--contenders", "engine", "pasap",
+                "--cache-dir", str(tmp_path), "--resume"]
+        assert main(args) == 0
+        assert main(args) == 0
+        assert "portfolio winner: engine" in capsys.readouterr().out
+        keys = [key for key, _record in iter_journal_payloads(tmp_path)]
+        assert len(keys) == len(set(keys)) == 2
+
 
 class TestBatchCertificateGate:
     def test_batch_exits_violations_on_certificate_errors(self, tmp_path, capsys, monkeypatch):
