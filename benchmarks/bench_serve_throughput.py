@@ -14,6 +14,11 @@ response — not on in-process shortcuts:
 * ``test_serve_saturation[1|4|16|64]`` drives one warm server from 1,
   4, 16 and 64 concurrent clients — the saturation curve of the
   selector front (jobs/s per client count),
+* ``test_warm_submission[inline|named]`` times the server's own cost of
+  one warm job in-process — its ``POST /tasks`` and one ``GET
+  /jobs/<id>``, no sockets — and breaks it into stages in
+  ``extra_info`` (parse, content address, store lookup, log append,
+  response encode, the rest as ``other_ms``),
 * ``test_warm_serving_is_10x_cold_throughput`` asserts the contract:
   warm sustained jobs/second at least 10x cold, with zero synthesis
   runs during the warm pass — counted from the cache journal, which
@@ -30,16 +35,22 @@ Record the results into the repository's benchmark history with::
 
 from __future__ import annotations
 
+import json
+import statistics
 import threading
 import time
 
 import pytest
 
+from repro.api.task import SynthesisTask, compact_json
+from repro.explore.cache import ResultCache
 from repro.ir.analysis import critical_path_length
 from repro.ir.serialize import to_dict
 from repro.library import default_library
 from repro.library.selection import MinPowerSelection, selection_delays
 from repro.serve import Client, start_server
+from repro.serve import http as http_module
+from repro.serve.queue import Job, JobQueue
 from repro.store import iter_journal_payloads
 from repro.suite.generators import GeneratorConfig, random_cdfg
 
@@ -171,6 +182,86 @@ def test_serve_saturation(benchmark, clients, tmp_path):
         benchmark.extra_info["clients"] = clients
         benchmark.extra_info["jobs_per_second"] = round(rate, 1)
         print(f"\nsaturation: {clients:3d} clients -> {rate:8.1f} jobs/s warm")
+
+
+#: The front's calls a warm job's stages are read off, by stage.
+STAGE_CALLS = (
+    ("parse", http_module.SubmissionMemo, "admit"),
+    ("parse", http_module, "parse_submission"),
+    ("content_address", SynthesisTask, "cache_key"),
+    ("store_lookup", ResultCache, "peek"),
+    ("log_append", JobQueue, "_append"),
+    ("response_encode", Job, "to_json"),
+)
+
+#: Warm jobs per stage breakdown.
+STAGE_JOBS = 300
+
+
+class StageClock:
+    """Exclusive wall time per stage of the wrapped calls (nested calls
+    are charged to their own stage, not their caller's)."""
+
+    def __init__(self) -> None:
+        self.totals: dict = {}
+        self._stack: list = []
+
+    def wrap(self, stage: str, function):
+        def timed(*args, **kwargs):
+            self._stack.append(0.0)
+            started = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                spent = time.perf_counter() - started
+                inner = self._stack.pop()
+                self.totals[stage] = self.totals.get(stage, 0.0) + spent - inner
+                if self._stack:
+                    self._stack[-1] += spent
+
+        return timed
+
+    def timed(self, stage: str, function, *args):
+        return self.wrap(stage, function)(*args)
+
+
+def warm_job(server, body: bytes, clock=None) -> None:
+    """One warm job on ``server``: submit ``body`` and read its status once."""
+    _status, payload, _headers = server._dispatch("POST", "/tasks", body)
+    text = clock.timed("response_encode", compact_json, payload) if clock else compact_json(payload)
+    (job,) = json.loads(text)["jobs"]
+    assert job["state"] == "done"
+    server._dispatch("GET", f"/jobs/{job['id']}", b"")
+
+
+@pytest.mark.parametrize("graph", ["inline", "named"])
+def test_warm_submission(benchmark, graph, tmp_path, monkeypatch):
+    """The server's cost of one warm job, in-process, and its stages."""
+    spec = BATCH[0] if graph == "inline" else SATURATION_BATCH[4]
+    body = json.dumps(spec).encode()
+    with start_server(workers=1, state_dir=tmp_path / graph) as handle:
+        server = handle.server
+        Client(handle.url).submit_and_wait([spec], timeout=300)
+        benchmark.pedantic(lambda: warm_job(server, body), rounds=STAGE_JOBS, iterations=1)
+
+        clock = StageClock()
+        for stage, owner, name in STAGE_CALLS:
+            monkeypatch.setattr(owner, name, clock.wrap(stage, getattr(owner, name)))
+        per_job = []
+        for _ in range(STAGE_JOBS):
+            before = dict(clock.totals)
+            started = time.perf_counter()
+            warm_job(server, body, clock)
+            total = time.perf_counter() - started
+            stages = {s: clock.totals[s] - before.get(s, 0.0) for s in clock.totals}
+            stages["other"] = total - sum(stages.values())
+            per_job.append(stages)
+        monkeypatch.undo()
+    benchmark.extra_info["body_bytes"] = len(body)
+    for stage in sorted({s for stages in per_job for s in stages}):
+        benchmark.extra_info[f"{stage}_ms"] = round(
+            1e3 * statistics.median(stages.get(stage, 0.0) for stages in per_job), 4
+        )
 
 
 def test_warm_serving_is_10x_cold_throughput(tmp_path):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -34,6 +35,15 @@ from ..suite.registry import BenchmarkSpec, get_benchmark
 
 class TaskError(ValueError):
     """A malformed task specification."""
+
+
+def compact_json(payload: Any) -> str:
+    """Compact JSON with sorted keys.
+
+    The one encoding of a content address's canonical spec, a serve
+    log line and an HTTP response.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 #: Bump when the canonical spec layout (or anything that changes what a
@@ -144,24 +154,37 @@ def _canonical_graph(data: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-#: The built CDFG and the canonical graph dict of each registered
-#: benchmark, keyed by its frozen registry entry: building a benchmark for
-#: every task resolve, or only to serialize it for a content address,
+#: The built CDFG, the canonical graph dict and that dict's
+#: :func:`compact_json` text of each registered benchmark, keyed by its
+#: frozen registry entry: building a benchmark for every task resolve, or
+#: canonicalizing and encoding it again for every content address,
 #: dominated both costs.  Re-registering a name with ``replace=True``
 #: stores a new entry, which misses this memo, and the replaced entry's
 #: graph goes with it.  Two threads missing at once build the same graph
 #: twice, which is harmless.
-_BENCHMARKS_BUILT: "weakref.WeakKeyDictionary[BenchmarkSpec, Tuple[CDFG, Dict[str, Any]]]"
+_BENCHMARKS_BUILT: "weakref.WeakKeyDictionary[BenchmarkSpec, Tuple[CDFG, Dict[str, Any], str]]"
 _BENCHMARKS_BUILT = weakref.WeakKeyDictionary()
 
+#: Stands in for a registered benchmark's graph while a spec is encoded
+#: for its content address; the graph's memoized text replaces the
+#: placeholder's encoded form afterwards.  Random per process, so no
+#: submitted string is built to collide with it.
+_GRAPH_TOKEN = f"repro-graph-{os.urandom(16).hex()}"
+_GRAPH_TOKEN_JSON = json.dumps(_GRAPH_TOKEN)
 
-def _built_benchmark(name: str) -> Tuple[CDFG, Dict[str, Any]]:
-    """The memoized (CDFG, canonical graph) of registered benchmark ``name``."""
+
+def _built_benchmark(name: str) -> Tuple[CDFG, Dict[str, Any], str]:
+    """The (CDFG, canonical graph, its compact JSON) of registered benchmark ``name``.
+
+    Built once per registry entry; callers copy the CDFG or the dict
+    before handing either out.
+    """
     entry = get_benchmark(name)
     built = _BENCHMARKS_BUILT.get(entry)
     if built is None:
         cdfg = entry.build()
-        built = (cdfg, _canonical_graph(cdfg_to_dict(cdfg)))
+        graph = _canonical_graph(cdfg_to_dict(cdfg))
+        built = (cdfg, graph, compact_json(graph))
         _BENCHMARKS_BUILT[entry] = built
     return built
 
@@ -200,6 +223,10 @@ def _registered_library(name: str) -> Dict[str, Any]:
     }
 
 
+#: ``_canonical_options({})``, resolved on first use.
+_DEFAULT_OPTIONS: Optional[Dict[str, Any]] = None
+
+
 def _canonical_options(overrides: Dict[str, Any]) -> Dict[str, Any]:
     """Resolve option overrides against the EngineOptions defaults.
 
@@ -209,8 +236,13 @@ def _canonical_options(overrides: Dict[str, Any]) -> Dict[str, Any]:
     rejects unknown option keys at hash time with the same error the
     pipeline would raise at run time.
     """
+    global _DEFAULT_OPTIONS
     from ..synthesis.engine import EngineOptions  # local import to avoid a cycle
 
+    if not overrides:
+        if _DEFAULT_OPTIONS is None:
+            _DEFAULT_OPTIONS = dataclasses.asdict(EngineOptions())
+        return dict(_DEFAULT_OPTIONS)  # the defaults are scalars: a fresh copy
     valid = {f.name for f in dataclasses.fields(EngineOptions)}
     unknown = sorted(set(overrides) - valid)
     if unknown:
@@ -487,9 +519,11 @@ class SynthesisTask:
         fresh copy that the caller may mutate.
         """
         if isinstance(self.graph, str):
-            graph = _benchmark_graph(self.graph)
-        else:
-            graph = _canonical_graph(self.graph)
+            return self._spec_around(_benchmark_graph(self.graph))
+        return self._spec_around(_canonical_graph(self.graph))
+
+    def _spec_around(self, graph: Any) -> Dict[str, Any]:
+        """The canonical spec of this task with ``graph`` as its graph."""
         if isinstance(self.library, str):
             library = _registered_library(self.library)
         else:
@@ -531,18 +565,39 @@ class SynthesisTask:
         options) points share one entry across sweeps, CLI invocations and
         worker processes.
 
+        A registered benchmark's canonical graph text is encoded once per
+        registry entry and spliced into the spec's encoding, which is
+        byte-identical to encoding :meth:`canonical_spec`.
+
         The key is memoized on first use — treat a task as immutable once
         it has been hashed or executed (they are plain data; build a new
         one instead of mutating).
         """
         key = self.__dict__.get("_cache_key")
         if key is None:
-            payload = json.dumps(
-                self.canonical_spec(), sort_keys=True, separators=(",", ":")
-            )
-            key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            if isinstance(self.graph, str):
+                graph_text = _built_benchmark(self.graph)[2]
+                text = compact_json(self._spec_around(_GRAPH_TOKEN))
+                if text.count(_GRAPH_TOKEN_JSON) == 1:
+                    text = text.replace(_GRAPH_TOKEN_JSON, graph_text)
+                else:  # another field spells the placeholder: encode plainly
+                    text = compact_json(self.canonical_spec())
+            else:
+                text = compact_json(self.canonical_spec())
+            key = hashlib.sha256(text.encode("utf-8")).hexdigest()
             self.__dict__["_cache_key"] = key
         return key
+
+    def to_compact_json(self) -> str:
+        """:func:`compact_json` of :meth:`to_dict`, encoded once.
+
+        Memoized like :meth:`cache_key`: the serving layer splices it into
+        every log line and status of each job that shares this task.
+        """
+        text = self.__dict__.get("_task_json")
+        if text is None:
+            text = self.__dict__["_task_json"] = compact_json(self.to_dict())
+        return text
 
     # ------------------------------------------------------------------ #
     # Serialization

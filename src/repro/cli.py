@@ -215,10 +215,10 @@ def _synthesize_portfolio(
     except TaskError as exc:
         raise SystemExit(f"bad portfolio task: {exc}")
     record = outcome.record
-    if cache is not None and cache.write and outcome.cacheable and cache.peek(task) is None:
+    if cache is not None and outcome.cacheable:
         # file the portfolio-level verdict too (run_task does the same),
-        # so a --resume re-race answers without launching anything; a
-        # --resume run files nothing the cache already holds
+        # so a --resume re-race answers without launching anything; put
+        # files nothing the cache already holds
         cache.put(task, record)
     if not record.feasible:
         print(f"infeasible: {record.error}", file=sys.stderr)

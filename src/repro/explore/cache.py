@@ -21,10 +21,11 @@ directory in the old one-JSON-file-per-key ``legacy`` layout is refused
 with :class:`~repro.store.StoreError`; ``repro store migrate`` converts
 it.
 
-The journal (``<root>/journal.jsonl``): every *computed* record appends
-one line (cache hits are not re-journaled) as a single ``O_APPEND``
-write, torn tails are tolerated, and a killed grid restarts without
-rework by replaying the same directory.
+The journal (``<root>/journal.jsonl``): every *computed* record of a key
+not yet filed appends one line (cache hits are not re-journaled, nor is
+a re-computation of a filed key) as a single ``O_APPEND`` write, torn
+tails are tolerated, and a killed grid restarts without rework by
+replaying the same directory.
 
 Only scalar metrics are cached — the heavyweight
 :class:`~repro.synthesis.result.SynthesisResult` object is dropped, just
@@ -174,10 +175,11 @@ class ResultCache:
 
         Infeasible records are cached too — knowing a (T, P) point is
         below the feasibility frontier is exactly as reusable as knowing
-        its area.
+        its area.  A key the store already holds is left as filed:
+        nothing is written, journaled or counted.
         """
         key = self.key_for(task)
-        if not self.write:
+        if not self.write or self.store.contains(key):
             return key
         payload = {"key": key, "record": record.to_dict()}
         self.store.put(key, payload)

@@ -34,7 +34,13 @@ Endpoints:
 
 Every response body is compact JSON with sorted keys, which the C
 encoder writes (pipe it through ``python -m json.tool`` to read it); a
-job's task is encoded once and spliced into each status of it.
+task is encoded once and spliced into each status of a job holding it.
+
+A repeated ``POST /tasks`` body costs one SHA-256: the front keeps the
+parsed, keyed submissions of recent bodies (:class:`SubmissionMemo`,
+bounded by ``MEMO_MAX_BODIES`` bodies and ``MEMO_MAX_BYTES`` of body
+text, least recently used out first), and the jobs of identical bodies
+share their task objects.
 
 Protocol discipline: HTTP/1.1 with keep-alive; every error response
 (400/404/413/429/503) closes the connection after exactly one response,
@@ -50,19 +56,22 @@ serve`` CLI command.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import selectors
 import socket
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..api.task import TaskError, SynthesisTask, tasks_from_payload
-from ..portfolio.config import check_deadline
-from ..registries import UnknownStrategyError
-from .queue import QueueFullError, compact_json
+from ..api.task import TaskError, SynthesisTask, compact_json, tasks_from_payload
+from ..portfolio.config import check_deadline, with_deadline
+from ..registries import LIBRARIES, UnknownStrategyError
+from ..suite.registry import BENCHMARKS
+from .queue import QueueFullError
 from .service import SynthesisService
 
 #: Largest accepted request body (a batch file of inline CDFGs is big;
@@ -75,8 +84,17 @@ MAX_HEADER_BYTES = 64 * 1024
 #: Per-recv read size for the event loop.
 _RECV_SIZE = 65536
 
+#: Bounds of the front's :class:`SubmissionMemo`: the bodies it keeps,
+#: and the bytes of body text they add up to.
+MEMO_MAX_BODIES = 256
+MEMO_MAX_BYTES = 16 * 1024 * 1024
+
 #: A response body: a JSON-safe dict, or its :func:`compact_json` text.
 _Payload = Union[Dict[str, Any], str]
+
+#: The registry entry of each (registry, name) a memoized submission was
+#: keyed against.
+_Bindings = Dict[Tuple[Any, str], Any]
 
 
 @dataclass
@@ -117,6 +135,84 @@ def parse_submission(text: str) -> Submission:
     if isinstance(payload, dict) and "graph" in payload:
         return Submission([SynthesisTask.from_dict(payload)], priority, deadline_s)
     return Submission(tasks_from_payload(payload), priority, deadline_s)
+
+
+class SubmissionMemo:
+    """Recent ``POST /tasks`` bodies, by SHA-256, ready for admission.
+
+    A body seen before costs one hash: :meth:`admit` returns the
+    :class:`Submission` it was parsed into, whose ``deadline_s`` is
+    already stamped onto its tasks (so it reads ``None``) and whose tasks
+    already hold their content addresses.  The jobs of identical bodies
+    therefore share their task objects, immutable once hashed.
+
+    A task's address depends on the registry entries its benchmark and
+    library names resolve to, so an entry keeps the entries it was keyed
+    against and a hit re-checks them by identity: after a
+    ``replace=True`` re-registration or a removal the body is parsed
+    again, and its keys move or it is refused as a fresh body would be.
+    Only bodies that parsed and keyed are kept, at most
+    ``MEMO_MAX_BODIES`` of them and ``MEMO_MAX_BYTES`` of body text,
+    least recently used out first.  Not thread-safe: the front's event
+    loop is its one user.
+    """
+
+    def __init__(self) -> None:
+        #: digest -> (submission, its registry bindings, body size)
+        self._entries: "OrderedDict[bytes, Tuple[Submission, _Bindings, int]]" = OrderedDict()
+        #: Bytes of body text the kept entries add up to.
+        self.size = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def admit(self, body: bytes) -> Submission:
+        """The submission of ``body``, parsed and keyed at most once.
+
+        Raises:
+            TaskError: a malformed body or task.
+            UnknownStrategyError: a task names an unregistered
+                benchmark or library.
+        """
+        digest = hashlib.sha256(body).digest()
+        entry = self._entries.get(digest)
+        if entry is not None:
+            if _still_bound(entry[1]):
+                self._entries.move_to_end(digest)
+                return entry[0]
+            self._forget(digest)
+        parsed = parse_submission(body.decode("utf-8", errors="replace"))
+        tasks = parsed.tasks
+        if parsed.deadline_s is not None:
+            tasks = [with_deadline(task, parsed.deadline_s) for task in tasks]
+        # bind before keying: a re-registration in between then only
+        # costs a parse, never a stale key
+        bindings: _Bindings = {}
+        for task in tasks:
+            if isinstance(task.graph, str):
+                bindings[BENCHMARKS, task.graph] = BENCHMARKS.get(task.graph)
+            if isinstance(task.library, str):
+                bindings[LIBRARIES, task.library] = LIBRARIES.get(task.library)
+        for task in tasks:
+            task.cache_key()
+        submission = Submission(tasks, parsed.priority)
+        if len(body) <= MEMO_MAX_BYTES:
+            self._entries[digest] = (submission, bindings, len(body))
+            self.size += len(body)
+            while len(self._entries) > MEMO_MAX_BODIES or self.size > MEMO_MAX_BYTES:
+                self._forget(next(iter(self._entries)))
+        return submission
+
+    def _forget(self, digest: bytes) -> None:
+        self.size -= self._entries.pop(digest)[2]
+
+
+def _still_bound(bindings: _Bindings) -> bool:
+    """True while every (registry, name) still resolves to the same entry."""
+    try:
+        return all(registry.get(name) is item for (registry, name), item in bindings.items())
+    except UnknownStrategyError:
+        return False
 
 
 class _HTTPError(Exception):
@@ -179,6 +275,7 @@ class SynthesisServer:
         self._shutdown_requested = threading.Event()
         self._stopped = threading.Event()
         self._connections: Dict[int, _Connection] = {}
+        self._submissions = SubmissionMemo()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -320,7 +417,7 @@ class SynthesisServer:
             if len(conn.inbuf) < conn.need_body:
                 return
             method, path, headers = conn.pending
-            body = conn.inbuf[: conn.need_body].decode("utf-8", errors="replace")
+            body = conn.inbuf[: conn.need_body]
             conn.inbuf = conn.inbuf[conn.need_body:]
             conn.pending = None
             conn.need_body = 0
@@ -361,7 +458,7 @@ class SynthesisServer:
     # Routing
     # ------------------------------------------------------------------ #
     def _dispatch(
-        self, method: str, path: str, body: str
+        self, method: str, path: str, body: bytes
     ) -> Tuple[int, _Payload, Dict[str, str]]:
         path = path.split("?", 1)[0]
         if method == "POST":
@@ -370,24 +467,21 @@ class SynthesisServer:
             return self._get(path)
         raise _HTTPError(405, f"method {method} not allowed")
 
-    def _post(self, path: str, body: str) -> Tuple[int, _Payload, Dict[str, str]]:
+    def _post(self, path: str, body: bytes) -> Tuple[int, _Payload, Dict[str, str]]:
         if path.rstrip("/") != "/tasks":
             raise _HTTPError(404, f"unknown endpoint {path!r}")
         if not body:
             raise _HTTPError(400, "request body required")
         try:
-            submission = parse_submission(body)
+            submission = self._submissions.admit(body)
         except (TaskError, UnknownStrategyError) as exc:
+            # also a deadline_s on a non-portfolio task, or a benchmark
+            # or library name nothing registered
             raise _HTTPError(400, f"bad task submission: {exc}") from None
         try:
             jobs = self.service.submit_many(
-                submission.tasks,
-                priority=submission.priority,
-                deadline_s=submission.deadline_s,
+                submission.tasks, priority=submission.priority
             )
-        except TaskError as exc:
-            # a deadline_s submission containing non-portfolio tasks
-            raise _HTTPError(400, f"bad task submission: {exc}") from None
         except QueueFullError as exc:
             retry_after = max(1, math.ceil(exc.retry_after))
             raise _HTTPError(

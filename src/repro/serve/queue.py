@@ -9,8 +9,9 @@ result cache journal — concurrent writers never interleave mid-line and
 a torn tail from a killed process is skipped on replay.  A job the
 service answers at admission (a cache hit) skips ``start``: its
 ``submit`` and ``finish`` lines are appended together in one write.
-Each line is :func:`compact_json` of its event; a job encodes its task
-once and splices that text into its events and statuses
+Each line is :func:`compact_json` of its event; a task is encoded once
+(:meth:`~repro.api.task.SynthesisTask.to_compact_json`) and that text is
+spliced into the events and statuses of every job sharing it
 (:meth:`Job.encode`), which leaves every byte as the plain encoding
 would write it.
 
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from ..api.task import SynthesisTask, TaskError
+from ..api.task import SynthesisTask, TaskError, compact_json
 
 #: Event-log file name inside a queue state directory.
 LOG_NAME = "jobs.jsonl"
@@ -62,15 +63,10 @@ FAILED = "failed"
 STATES = (PENDING, RUNNING, DONE, FAILED)
 
 #: Stands in for a job's task while an event or status is encoded; the
-#: job's cached task JSON replaces its encoded form afterwards.  Random
+#: task's memoized JSON replaces its encoded form afterwards.  Random
 #: per process, so no submitted string is built to collide with it.
 _TASK_TOKEN = f"repro-task-{uuid.uuid4().hex}"
 _TASK_TOKEN_JSON = json.dumps(_TASK_TOKEN)
-
-
-def compact_json(payload: Any) -> str:
-    """Compact JSON with sorted keys: every log line and HTTP response."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _same_json(a: Any, b: Any) -> bool:
@@ -118,7 +114,8 @@ class Job:
     Attributes:
         id: Stable, unique job id (``job-<seq>-<nonce>``) handed back to
             the submitting client and used in ``GET /jobs/<id>``.
-        task: The task spec to synthesize.
+        task: The task spec to synthesize.  Jobs of identical ``POST
+            /tasks`` bodies share one task object, immutable once hashed.
         key: The task's content address
             (:meth:`~repro.api.task.SynthesisTask.cache_key`), which is
             also the ``GET /results/<key>`` address of the outcome.
@@ -151,8 +148,6 @@ class Job:
     priority: int = 0
     #: Monotonic submission sequence number (dequeue tie-breaker).
     seq: int = 0
-    #: The task's :func:`compact_json` text, once something needed it.
-    _task_json: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     #: ``(record, whether its "task" encodes as this job's task)``.
     _record_task: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
@@ -187,9 +182,9 @@ class Job:
 
         ``payload["task"]``, if present, must be this job's task, and a
         ``payload["record"]`` this job's record.  Both places are encoded
-        from the job's cached task JSON (the record's ``task`` only when
-        it encodes the same); should the placeholder turn up anywhere
-        else, the payload is encoded plainly.
+        from the task's memoized JSON (the record's ``task`` only when it
+        encodes the same); should the placeholder turn up anywhere else,
+        the payload is encoded plainly.
         """
         spliced = dict(payload)
         slots = 0
@@ -205,9 +200,7 @@ class Job:
             return text
         if text.count(_TASK_TOKEN_JSON) != slots:
             return compact_json(payload)
-        if self._task_json is None:
-            self._task_json = compact_json(self.task.to_dict())
-        return text.replace(_TASK_TOKEN_JSON, self._task_json)
+        return text.replace(_TASK_TOKEN_JSON, self.task.to_compact_json())
 
     def _record_holds_task(self, record: Dict[str, Any]) -> bool:
         memo = self._record_task

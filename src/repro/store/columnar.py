@@ -355,6 +355,18 @@ class ColumnarStore(ResultStore):
         except ValueError:
             return None
 
+    def contains(self, key: str) -> bool:
+        """Whether ``key`` is filed, by this store's in-memory index.
+
+        A shard this store never read is read once; after that no file
+        is touched, so a key another process filed since may read as
+        absent.
+        """
+        shard = self._shard(self._shard_prefix(key))
+        if not shard.loaded:
+            shard.refresh()
+        return self._find(shard, key) is not None
+
     def scan(
         self,
         query: Optional[StoreQuery] = None,

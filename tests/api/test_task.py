@@ -1,5 +1,6 @@
 """Unit tests for SynthesisTask specs: validation, resolution, round-trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.api.task import (
     SynthesisTask,
     TaskError,
+    compact_json,
     library_from_dict,
     library_to_dict,
     tasks_from_json,
@@ -268,3 +270,32 @@ class TestCacheKey:
                              latency=17, power_budget=12.0)
         with pytest.raises(TaskError):
             task.cache_key()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"library": "single"},
+            {"options": {"delay_area_weight": 2.0}},
+            {"scheduler": "portfolio", "options": {"portfolio_strategies": ["engine", "pasap"]}},
+        ],
+        ids=["defaults", "named-library", "options", "portfolio"],
+    )
+    def test_a_named_key_hashes_the_encoded_canonical_spec(self, fields):
+        task = self.base(**fields)
+        expected = hashlib.sha256(compact_json(task.canonical_spec()).encode()).hexdigest()
+        assert task.cache_key() == expected
+
+    def test_a_field_spelling_the_graph_placeholder_still_hashes_its_spec(self):
+        from repro.api import task as task_module
+
+        task = self.base(selector=task_module._GRAPH_TOKEN)
+        expected = hashlib.sha256(compact_json(task.canonical_spec()).encode()).hexdigest()
+        assert task.cache_key() == expected
+        assert task.canonical_spec()["selector"] == task_module._GRAPH_TOKEN
+
+    def test_the_compact_json_is_encoded_once(self):
+        task = self.base(label="x")
+        text = task.to_compact_json()
+        assert text == compact_json(task.to_dict())
+        assert task.to_compact_json() is text

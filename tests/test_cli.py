@@ -320,6 +320,28 @@ class TestCacheFlags:
         keys = [key for key, _record in iter_journal_payloads(tmp_path)]
         assert len(keys) == len(set(keys)) == 2
 
+    def test_recording_a_filed_key_again_writes_nothing(self, tmp_path):
+        from repro.store import iter_journal_payloads
+
+        args = ["synthesize", "-b", "hal", "-T", "17", "-P", "12", "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        segments = sorted(tmp_path.glob("shards/*/append.seg"))
+        sizes = [path.stat().st_size for path in segments]
+        assert main(args) == 0
+        assert len(list(iter_journal_payloads(tmp_path))) == 1
+        assert [path.stat().st_size for path in segments] == sizes
+
+    def test_recording_a_portfolio_again_writes_nothing(self, tmp_path):
+        from repro.store import iter_journal_payloads
+
+        args = ["synthesize", "-b", "hal", "-T", "17", "-P", "12",
+                "--scheduler", "portfolio", "--contenders", "engine", "pasap",
+                "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert main(args) == 0
+        keys = [key for key, _record in iter_journal_payloads(tmp_path)]
+        assert len(keys) == len(set(keys)) == 2
+
 
 class TestBatchCertificateGate:
     def test_batch_exits_violations_on_certificate_errors(self, tmp_path, capsys, monkeypatch):
