@@ -248,6 +248,7 @@ def test_warm_submission(benchmark, graph, tmp_path, monkeypatch):
         for stage, owner, name in STAGE_CALLS:
             monkeypatch.setattr(owner, name, clock.wrap(stage, getattr(owner, name)))
         per_job = []
+        logged = handle.service.queue.log_path.stat().st_size
         for _ in range(STAGE_JOBS):
             before = dict(clock.totals)
             started = time.perf_counter()
@@ -257,7 +258,9 @@ def test_warm_submission(benchmark, graph, tmp_path, monkeypatch):
             stages["other"] = total - sum(stages.values())
             per_job.append(stages)
         monkeypatch.undo()
+        log_bytes = (handle.service.queue.log_path.stat().st_size - logged) / STAGE_JOBS
     benchmark.extra_info["body_bytes"] = len(body)
+    benchmark.extra_info["log_bytes"] = round(log_bytes)
     for stage in sorted({s for stages in per_job for s in stages}):
         benchmark.extra_info[f"{stage}_ms"] = round(
             1e3 * statistics.median(stages.get(stage, 0.0) for stages in per_job), 4

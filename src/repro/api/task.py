@@ -46,6 +46,26 @@ def compact_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+#: Stands in for already-encoded text (a registered benchmark's graph, a
+#: job's task) while the payload around it is encoded.  Random per
+#: process, so no submitted string is built to collide with it.
+SPLICE_TOKEN = f"repro-splice-{os.urandom(16).hex()}"
+_SPLICE_TOKEN_JSON = json.dumps(SPLICE_TOKEN)
+
+
+def splice_json(payload: Any, slots: int, text: str, plain: Callable[[], Any]) -> str:
+    """:func:`compact_json` of ``payload`` with ``text`` in place of the
+    :data:`SPLICE_TOKEN` it holds in ``slots`` places.
+
+    Should the token turn up anywhere else, ``plain()`` (the payload with
+    the encoded value itself there) is encoded instead.
+    """
+    encoded = compact_json(payload)
+    if encoded.count(_SPLICE_TOKEN_JSON) != slots:
+        return compact_json(plain())
+    return encoded.replace(_SPLICE_TOKEN_JSON, text)
+
+
 #: Bump when the canonical spec layout (or anything that changes what a
 #: given spec *means*) changes, so stale on-disk cache entries never match.
 #: v2: register_budget joined the spec.
@@ -164,14 +184,6 @@ def _canonical_graph(data: Dict[str, Any]) -> Dict[str, Any]:
 #: twice, which is harmless.
 _BENCHMARKS_BUILT: "weakref.WeakKeyDictionary[BenchmarkSpec, Tuple[CDFG, Dict[str, Any], str]]"
 _BENCHMARKS_BUILT = weakref.WeakKeyDictionary()
-
-#: Stands in for a registered benchmark's graph while a spec is encoded
-#: for its content address; the graph's memoized text replaces the
-#: placeholder's encoded form afterwards.  Random per process, so no
-#: submitted string is built to collide with it.
-_GRAPH_TOKEN = f"repro-graph-{os.urandom(16).hex()}"
-_GRAPH_TOKEN_JSON = json.dumps(_GRAPH_TOKEN)
-
 
 def _built_benchmark(name: str) -> Tuple[CDFG, Dict[str, Any], str]:
     """The (CDFG, canonical graph, its compact JSON) of registered benchmark ``name``.
@@ -577,11 +589,8 @@ class SynthesisTask:
         if key is None:
             if isinstance(self.graph, str):
                 graph_text = _built_benchmark(self.graph)[2]
-                text = compact_json(self._spec_around(_GRAPH_TOKEN))
-                if text.count(_GRAPH_TOKEN_JSON) == 1:
-                    text = text.replace(_GRAPH_TOKEN_JSON, graph_text)
-                else:  # another field spells the placeholder: encode plainly
-                    text = compact_json(self.canonical_spec())
+                spec = self._spec_around(SPLICE_TOKEN)
+                text = splice_json(spec, 1, graph_text, self.canonical_spec)
             else:
                 text = compact_json(self.canonical_spec())
             key = hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -73,8 +73,8 @@ class Variable:
     """
 
     name: str
-    lower: Fraction
-    upper: Optional[Fraction]
+    lower: Rational
+    upper: Optional[Rational]
     integer: bool = False
 
 
@@ -126,8 +126,9 @@ class LinearProgram:
         integer: bool = False,
     ) -> int:
         """Add a variable; returns its index (the coefficient key)."""
-        low = as_fraction(lower)
-        up = as_fraction(upper) if upper is not None else None
+        # An int bound is already exact: keep it as it is.
+        low = lower if type(lower) is int else as_fraction(lower)
+        up = upper if upper is None or type(upper) is int else as_fraction(upper)
         if up is not None and up < low:
             raise LPError(
                 f"variable {name or len(self.variables)}: empty bound range "

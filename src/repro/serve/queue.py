@@ -9,11 +9,12 @@ result cache journal — concurrent writers never interleave mid-line and
 a torn tail from a killed process is skipped on replay.  A job the
 service answers at admission (a cache hit) skips ``start``: its
 ``submit`` and ``finish`` lines are appended together in one write.
-Each line is :func:`compact_json` of its event; a task is encoded once
+Each line is :func:`compact_json` of its event.  A job's task is written
+once, by its ``submit`` line: a job's record describes the job's task,
+so the ``finish`` line's record leaves it out.  A task is encoded once
 (:meth:`~repro.api.task.SynthesisTask.to_compact_json`) and that text is
-spliced into the events and statuses of every job sharing it
-(:meth:`Job.encode`), which leaves every byte as the plain encoding
-would write it.
+spliced into the ``submit`` lines and statuses of every job sharing it
+(:meth:`Job.encode`), byte-equal to the plain encoding.
 
 Reopening a state directory replays the event log: finished jobs come
 back with their records, pending jobs re-enter the queue in submission
@@ -45,11 +46,11 @@ import os
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
-from ..api.task import SynthesisTask, TaskError, compact_json
+from ..api.task import SPLICE_TOKEN, SynthesisTask, TaskError, compact_json, splice_json
 
 #: Event-log file name inside a queue state directory.
 LOG_NAME = "jobs.jsonl"
@@ -62,32 +63,12 @@ FAILED = "failed"
 
 STATES = (PENDING, RUNNING, DONE, FAILED)
 
-#: Stands in for a job's task while an event or status is encoded; the
-#: task's memoized JSON replaces its encoded form afterwards.  Random
-#: per process, so no submitted string is built to collide with it.
-_TASK_TOKEN = f"repro-task-{uuid.uuid4().hex}"
-_TASK_TOKEN_JSON = json.dumps(_TASK_TOKEN)
 
-
-def _same_json(a: Any, b: Any) -> bool:
-    """True when ``a`` and ``b`` certainly encode to the same JSON text.
-
-    Stricter than ``==``, which holds for ``1``, ``1.0`` and ``True``
-    alike; identical objects answer at once.
-    """
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if type(a) is dict:
-        return a.keys() == b.keys() and all(
-            type(k) is str and _same_json(v, b[k]) for k, v in a.items()
-        )
-    if type(a) is list:
-        return len(a) == len(b) and all(map(_same_json, a, b))
-    if type(a) is float:
-        return a.hex() == b.hex()
-    return type(a) in (str, int, bool) and a == b
+def _without_task(record: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+    """A job's record as :attr:`Job.record` holds it: no ``task`` copy."""
+    if record is None or "task" not in record:
+        return record
+    return {name: value for name, value in record.items() if name != "task"}
 
 
 class QueueError(RuntimeError):
@@ -123,7 +104,9 @@ class Job:
         submitted_at / started_at / finished_at: Epoch timestamps of the
             transitions (``None`` until they happen).
         record: The finished :class:`~repro.api.batch.TaskResult` in
-            plain-dict form (scalar metrics only), for ``done`` jobs.
+            plain-dict form (scalar metrics only), for ``done`` jobs,
+            without its ``task``: that is this job's task.
+            :meth:`to_dict` serves the record with the task put back.
         error / error_type: Failure details for ``failed`` jobs (e.g. a
             structural ``CertificateError`` the verify gate rejected).
         requeues: How many times the job re-entered the queue after a
@@ -148,8 +131,6 @@ class Job:
     priority: int = 0
     #: Monotonic submission sequence number (dequeue tie-breaker).
     seq: int = 0
-    #: ``(record, whether its "task" encodes as this job's task)``.
-    _record_task: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def finished(self) -> bool:
@@ -157,57 +138,53 @@ class Job:
         return self.state in (DONE, FAILED)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe form — what ``GET /jobs/<id>`` serves."""
+        """JSON-safe form — what ``GET /jobs/<id>`` serves.
+
+        Its ``record`` carries the task again, as a finished
+        :class:`~repro.api.batch.TaskResult` does.
+        """
+        return self._status(self.task.to_dict())
+
+    def to_json(self) -> str:
+        """:func:`compact_json` of :meth:`to_dict`, with the task encoded once."""
+        return self.encode(self._status, 1 if self.record is None else 2)
+
+    def encode(self, build: Callable[[Any], Dict[str, Any]], slots: int) -> str:
+        """:func:`compact_json` of ``build(task)``, which puts this job's task
+        in ``slots`` places: its memoized JSON is spliced into each."""
+        return splice_json(
+            build(SPLICE_TOKEN),
+            slots,
+            self.task.to_compact_json(),
+            lambda: build(self.task.to_dict()),
+        )
+
+    def _submit_event(self, task: Any) -> Dict[str, Any]:
+        return {
+            "event": "submit",
+            "id": self.id,
+            "ts": self.submitted_at,
+            "task": task,
+            "key": self.key,
+            "priority": self.priority,
+        }
+
+    def _status(self, task: Any) -> Dict[str, Any]:
+        # state is read before record: finish() publishes the record first
         return {
             "id": self.id,
-            "task": self.task.to_dict(),
+            "task": task,
             "key": self.key,
             "state": self.state,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
-            "record": self.record,
+            "record": None if self.record is None else {**self.record, "task": task},
             "error": self.error,
             "error_type": self.error_type,
             "requeues": self.requeues,
             "priority": self.priority,
         }
-
-    def to_json(self) -> str:
-        """:func:`compact_json` of :meth:`to_dict`, with the task encoded once."""
-        return self.encode(self.to_dict())
-
-    def encode(self, payload: Dict[str, Any]) -> str:
-        """:func:`compact_json` of a payload about this job, with less work.
-
-        ``payload["task"]``, if present, must be this job's task, and a
-        ``payload["record"]`` this job's record.  Both places are encoded
-        from the task's memoized JSON (the record's ``task`` only when it
-        encodes the same); should the placeholder turn up anywhere else,
-        the payload is encoded plainly.
-        """
-        spliced = dict(payload)
-        slots = 0
-        if "task" in spliced:
-            spliced["task"] = _TASK_TOKEN
-            slots += 1
-        record = spliced.get("record")
-        if isinstance(record, dict) and self._record_holds_task(record):
-            spliced["record"] = {**record, "task": _TASK_TOKEN}
-            slots += 1
-        text = compact_json(spliced)
-        if not slots:
-            return text
-        if text.count(_TASK_TOKEN_JSON) != slots:
-            return compact_json(payload)
-        return text.replace(_TASK_TOKEN_JSON, self.task.to_compact_json())
-
-    def _record_holds_task(self, record: Dict[str, Any]) -> bool:
-        memo = self._record_task
-        if memo is None or memo[0] is not record:
-            memo = (record, _same_json(record.get("task"), self.task.to_dict()))
-            self._record_task = memo
-        return memo[1]
 
 
 class JobQueue:
@@ -255,11 +232,11 @@ class JobQueue:
     def log_path(self) -> Optional[Path]:
         return self.state_dir / LOG_NAME if self.state_dir is not None else None
 
-    def _append(self, job: Job, *events: Dict[str, Any]) -> None:
-        """Log ``job``'s events, one :meth:`Job.encode` line each."""
+    def _append(self, *lines: str) -> None:
+        """Log encoded event lines, in one write."""
         if self.state_dir is None:
             return
-        text = "".join(job.encode(event) + "\n" for event in events)
+        text = "".join(line + "\n" for line in lines)
         # one unbuffered write to an O_APPEND fd, exactly like the result
         # cache journal: concurrent workers never interleave mid-line, and
         # events appended together land together or as a torn tail
@@ -312,7 +289,7 @@ class JobQueue:
                             if job.started_at is None:
                                 # answered at admission: no start event
                                 job.started_at = job.submitted_at
-                            job.record = event.get("record")
+                            job.record = _without_task(event.get("record"))  # 1.20 lines hold it
                             job.error = event.get("error")
                             job.error_type = event.get("error_type")
                         elif kind == "requeue":
@@ -328,7 +305,7 @@ class JobQueue:
                 job.state = PENDING
                 job.started_at = None
                 job.requeues += 1
-                self._append(job, {"event": "requeue", "id": job_id, "ts": time.time()})
+                self._append(compact_json({"event": "requeue", "id": job_id, "ts": time.time()}))
             if job.state == PENDING:
                 bisect.insort(self._pending, (-job.priority, job.seq, job.id))
         self._seq = len(order)
@@ -398,22 +375,15 @@ class JobQueue:
                     priority=int(priority),
                     seq=self._seq,
                 )
-                submitted = {
-                    "event": "submit",
-                    "id": job.id,
-                    "ts": job.submitted_at,
-                    "task": task.to_dict(),
-                    "key": job.key,
-                    "priority": job.priority,
-                }
+                submitted = job.encode(job._submit_event, 1)
                 if record is None:
                     bisect.insort(self._pending, (-job.priority, job.seq, job.id))
-                    self._append(job, submitted)
+                    self._append(submitted)
                 else:
                     job.started_at = job.finished_at = job.submitted_at
-                    job.record = record
+                    job.record = _without_task(record)
                     job.state = DONE
-                    self._append(job, submitted, self._finish_event(job))
+                    self._append(submitted, self._finish_line(job))
                 self._jobs[job.id] = job
                 jobs.append(job)
             self._not_empty.notify(waiting)
@@ -462,7 +432,7 @@ class JobQueue:
             job = self._jobs[self._pending.pop(0)[2]]
             job.state = RUNNING
             job.started_at = time.time()
-            self._append(job, {"event": "start", "id": job.id, "ts": job.started_at})
+            self._append(compact_json({"event": "start", "id": job.id, "ts": job.started_at}))
             return job
 
     def finish(
@@ -481,23 +451,25 @@ class JobQueue:
             # Job fields without this lock, and a client observing
             # state == "done" must never see record still unset
             job.finished_at = time.time()
-            job.record = record
+            job.record = _without_task(record)
             job.error = error
             job.error_type = error_type
             job.state = FAILED if error is not None else DONE
-            self._append(job, self._finish_event(job))
+            self._append(self._finish_line(job))
 
     @staticmethod
-    def _finish_event(job: Job) -> Dict[str, Any]:
-        return {
-            "event": "finish",
-            "id": job.id,
-            "ts": job.finished_at,
-            "state": job.state,
-            "record": job.record,
-            "error": job.error,
-            "error_type": job.error_type,
-        }
+    def _finish_line(job: Job) -> str:
+        return compact_json(
+            {
+                "event": "finish",
+                "id": job.id,
+                "ts": job.finished_at,
+                "state": job.state,
+                "record": job.record,
+                "error": job.error,
+                "error_type": job.error_type,
+            }
+        )
 
     def requeue(self, job: Job) -> None:
         """Put a running job back into the queue (drain/crash recovery).
@@ -513,7 +485,7 @@ class JobQueue:
             job.started_at = None
             job.requeues += 1
             bisect.insort(self._pending, (-job.priority, job.seq, job.id))
-            self._append(job, {"event": "requeue", "id": job.id, "ts": time.time()})
+            self._append(compact_json({"event": "requeue", "id": job.id, "ts": time.time()}))
             self._not_empty.notify()
 
     # ------------------------------------------------------------------ #
@@ -527,7 +499,7 @@ class JobQueue:
     def jobs(self) -> List[Job]:
         """Every known job, in submission order."""
         with self._lock:
-            return sorted(self._jobs.values(), key=lambda job: job.id)
+            return list(self._jobs.values())
 
     @property
     def depth(self) -> int:

@@ -287,12 +287,12 @@ class TestCacheKey:
         assert task.cache_key() == expected
 
     def test_a_field_spelling_the_graph_placeholder_still_hashes_its_spec(self):
-        from repro.api import task as task_module
+        from repro.api.task import SPLICE_TOKEN
 
-        task = self.base(selector=task_module._GRAPH_TOKEN)
+        task = self.base(selector=SPLICE_TOKEN)
         expected = hashlib.sha256(compact_json(task.canonical_spec()).encode()).hexdigest()
         assert task.cache_key() == expected
-        assert task.canonical_spec()["selector"] == task_module._GRAPH_TOKEN
+        assert task.canonical_spec()["selector"] == SPLICE_TOKEN
 
     def test_the_compact_json_is_encoded_once(self):
         task = self.base(label="x")

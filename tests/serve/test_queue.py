@@ -51,6 +51,12 @@ class TestLifecycle:
             queue.submit(task())
         assert queue.take(timeout=5.0) is None  # returns immediately, no wait
 
+    def test_jobs_stay_in_submission_order_past_the_millionth(self):
+        queue = JobQueue()
+        queue._seq = 999_998
+        queue.submit_many([task(10.0), task(11.0), task(12.0)])
+        assert [job.seq for job in queue.jobs()] == [999_999, 1_000_000, 1_000_001]
+
     def test_illegal_transitions_raise(self):
         queue = JobQueue()
         job = queue.submit(task())
@@ -118,6 +124,16 @@ class TestPersistence:
             "start",
             "finish",
         ]
+
+    def test_a_finish_line_leaves_the_record_task_out(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        job = queue.submit(task())
+        queue.take(timeout=0.1)
+        queue.finish(job, record={"task": task().to_dict(), "feasible": True})
+        finish = json.loads(queue.log_path.read_text().splitlines()[-1])
+        assert finish["record"] == {"feasible": True} == job.record
+        assert job.to_dict()["record"] == {"task": task().to_dict(), "feasible": True}
+        assert JobQueue(tmp_path).get(job.id).to_json() == job.to_json()
 
     def test_in_memory_queue_has_no_log(self):
         assert JobQueue().log_path is None

@@ -139,7 +139,8 @@ class TestJobLog:
         assert (tmp_path / "jobs.jsonl").read_text().splitlines() == expected
         assert warm[0].task is warm[1].task is first.task
         for job in [first, *warm]:
-            assert job.record["task"] == task
+            assert "task" not in job.record  # written once, by the submit line
+            assert job.to_dict()["record"] == {**job.record, "task": task}
             assert job.to_json() == plain(job.to_dict())
 
 

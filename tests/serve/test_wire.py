@@ -3,6 +3,8 @@
 Every ``jobs.jsonl`` line and every job status must be byte-equal to the
 plain ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``
 that a job's cached task JSON is spliced into, whatever its labels hold.
+A job's task is written once, by its ``submit`` line: ``finish`` lines
+carry the record without it, and statuses serve it in both places.
 """
 
 import json
@@ -10,15 +12,14 @@ import urllib.request
 
 import pytest
 
-from repro.api.task import SynthesisTask, tasks_from_json
+from repro.api.task import SPLICE_TOKEN, SynthesisTask, tasks_from_json
 from repro.ir.serialize import to_dict
-from repro.serve import queue as queue_module
 from repro.serve import start_server
 from repro.serve.http import parse_submission
 from repro.serve.queue import JobQueue
 from repro.suite.registry import get_benchmark
 
-TOKEN = queue_module._TASK_TOKEN
+TOKEN = SPLICE_TOKEN
 
 
 def plain(payload) -> str:
@@ -43,9 +44,20 @@ def submit_event(job) -> dict:
             "task": job.task.to_dict(), "key": job.key, "priority": job.priority}
 
 
-def finish_event(job) -> dict:
+def finish_event(job, record=None) -> dict:
+    """The finish event of ``job``, whose record was ``record`` (task dropped)."""
+    if record is not None:
+        record = {name: value for name, value in record.items() if name != "task"}
     return {"event": "finish", "id": job.id, "ts": job.finished_at, "state": job.state,
-            "record": job.record, "error": job.error, "error_type": job.error_type}
+            "record": record, "error": job.error, "error_type": job.error_type}
+
+
+def status(job, record=None) -> dict:
+    """What ``GET /jobs/<id>`` serves for ``job``, whose record was ``record``."""
+    return {"id": job.id, "task": job.task.to_dict(), "key": job.key, "state": job.state,
+            "submitted_at": job.submitted_at, "started_at": job.started_at,
+            "finished_at": job.finished_at, "record": record, "error": job.error,
+            "error_type": job.error_type, "requeues": job.requeues, "priority": job.priority}
 
 
 def log_lines(queue: JobQueue) -> list:
@@ -61,7 +73,7 @@ class TestLogLines:
         (warm,) = queue.submit_many([warm_task], records=[record_for(warm_task)])
         fresh = queue.submit(fresh_task)
         failed = queue.submit(failed_task, priority=3)
-        expected = [plain(submit_event(warm)), plain(finish_event(warm)),
+        expected = [plain(submit_event(warm)), plain(finish_event(warm, record_for(warm_task))),
                     plain(submit_event(fresh)), plain(submit_event(failed))]
 
         assert queue.take() is failed
@@ -77,24 +89,21 @@ class TestLogLines:
         assert queue.take() is fresh
         expected.append(plain({"event": "start", "id": fresh.id, "ts": fresh.started_at}))
         # a child's record carries a copy of the task, not the same objects
-        queue.finish(fresh, record=json.loads(json.dumps(record_for(fresh_task, cached=False))))
-        expected.append(plain(finish_event(fresh)))
+        fresh_record = json.loads(json.dumps(record_for(fresh_task, cached=False)))
+        queue.finish(fresh, record=fresh_record)
+        expected.append(plain(finish_event(fresh, fresh_record)))
 
         assert log_lines(queue) == expected
-        assert warm._record_task[1] and fresh._record_task[1]  # both spliced
-        for job in (warm, fresh, failed):
-            assert job.to_json() == plain(job.to_dict())
+        for job, record in ((warm, record_for(warm_task)), (fresh, fresh_record), (failed, None)):
+            assert "task" not in (job.record or {})
+            assert job.to_dict() == status(job, record)
+            assert job.to_json() == plain(status(job, record))
 
-    @pytest.mark.parametrize(
-        "where",
-        ["label", "record_label", "error", "quoted_error", "record_key"],
-    )
+    @pytest.mark.parametrize("where", ["label", "error", "quoted_error", "record_key"])
     def test_a_string_holding_the_placeholder_still_encodes_plainly(self, tmp_path, where):
         task = inline_task(label=TOKEN if where == "label" else "x")
         record = record_for(task)
-        if where == "record_label":
-            record["task"] = dict(record["task"], label=TOKEN)
-        elif where == "error":
+        if where == "error":
             record["error"] = TOKEN
         elif where == "quoted_error":
             record["error"] = 'x"' + TOKEN
@@ -102,18 +111,8 @@ class TestLogLines:
             record[TOKEN] = 1
         queue = JobQueue(tmp_path)
         (job,) = queue.submit_many([task], records=[record])
-        assert log_lines(queue) == [plain(submit_event(job)), plain(finish_event(job))]
-        assert job.to_json() == plain(job.to_dict())
-
-    def test_a_record_of_an_equal_but_differently_typed_task_is_not_spliced(self, tmp_path):
-        task = inline_task(options={"ilp_node_limit": 5})
-        record = record_for(task)
-        record["task"] = dict(record["task"], options={"ilp_node_limit": 5.0})
-        queue = JobQueue(tmp_path)
-        (job,) = queue.submit_many([task], records=[record])
-        assert record["task"] == task.to_dict()
-        assert log_lines(queue)[1] == plain(finish_event(job))
-        assert job.to_json() == plain(job.to_dict())
+        assert log_lines(queue) == [plain(submit_event(job)), plain(finish_event(job, record))]
+        assert job.to_json() == plain(status(job, record))
 
 
 def get_raw(url: str) -> bytes:
