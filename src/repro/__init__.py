@@ -9,8 +9,8 @@ The package provides:
 * :mod:`repro.library` — the functional-unit library (the paper's Table 1),
 * :mod:`repro.scheduling` — classical schedulers plus the paper's
   power-constrained pasap/palap,
-* :mod:`repro.binding` — compatibility graphs, clique partitioning,
-  register allocation and interconnect estimation,
+* :mod:`repro.binding` — binding decisions, register allocation and
+  interconnect estimation,
 * :mod:`repro.synthesis` — the combined power-constrained synthesis
   engine and design-space exploration,
 * :mod:`repro.power` — power profiles, spike analysis and a battery model,
@@ -137,7 +137,7 @@ from .lp import (
     solve_milp,
 )
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 #: Names resolved from :mod:`repro.serve` on first access (PEP 562).
 #: The serving layer registers no strategy, so deferring it leaves every

@@ -233,15 +233,15 @@ def run_task(
     lookup.  Callers holding live objects cache through an inline task
     instead (what :func:`repro.synthesis.explore.probe_point` does).
 
-    With a readable *and* writable cache a miss is single-flight across
-    processes: the task is synthesized under the store claim on its
-    content address (:mod:`repro.store.claims`), and a caller that finds
-    the claim held polls the store (uncounted ``peek``) until the
-    holder's record appears — returned as a cache hit — or the holder
-    dies and the kernel frees its claim (see :func:`claim_or_wait`).
+    With a readable :class:`~repro.explore.cache.ResultCache` a miss is
+    single-flight across processes: the task is synthesized under the
+    store claim on its content address (:mod:`repro.store.claims`), and a
+    caller that finds the claim held polls the store (uncounted ``peek``)
+    until the holder's record appears — returned as a cache hit — or the
+    holder dies and the kernel frees its claim (see :func:`claim_or_wait`).
     Batches, sweeps, serve children and race contenders sharing a cache
-    directory therefore synthesize each address once.  A read- or
-    write-only cache, or a bare ``get``/``put`` memo, takes no claim.
+    directory therefore synthesize each address once.  A write-only
+    cache, or a bare ``get``/``put`` memo, takes no claim.
 
     A ``scheduler="portfolio"`` task dispatches to
     :func:`repro.portfolio.run_portfolio` after the cache check: the
@@ -294,10 +294,10 @@ def claim_or_wait(cache, task: SynthesisTask):
     holder's record as ``(hit, None)``.  A dead holder's claim is free
     on the next attempt.  ``(None, claim)`` means compute, ``put``, then
     release the claim.  ``(None, None)`` means compute unclaimed: the
-    cache is not both read and written, or
+    cache is not a readable :class:`~repro.explore.cache.ResultCache`, or
     :data:`~repro.store.claims.CLAIM_TIMEOUT` passed.
     """
-    if not (getattr(cache, "read", False) and getattr(cache, "write", False)):
+    if not (_is_result_cache(cache) and cache.read):
         return None, None
     deadline = time.monotonic() + claims.CLAIM_TIMEOUT
     while True:
@@ -375,17 +375,23 @@ def worker_payload(task: SynthesisTask, cache=None, *, verify: bool = False) -> 
     """The payload :func:`_run_task_payload` runs ``task`` from.
 
     It names ``cache``'s directory only when ``cache`` is a
-    :class:`~repro.explore.cache.ResultCache` that writes: the caller has
-    already looked the task up, so a worker's own lookups only pay off
-    together with its writes.
+    :class:`~repro.explore.cache.ResultCache`; an in-process memo has no
+    directory a worker could open.
     """
-    writes = getattr(cache, "write", False)
+    on_disk = _is_result_cache(cache)
     return {
         "task": task.to_dict(),
-        "cache_dir": str(cache.root) if writes else None,
-        "cache_read": writes and cache.read,
+        "cache_dir": str(cache.root) if on_disk else None,
+        "cache_read": on_disk and cache.read,
         "verify": verify,
     }
+
+
+def _is_result_cache(cache) -> bool:
+    """Whether ``cache`` is an on-disk cache, not a bare ``get``/``put`` memo."""
+    from ..explore.cache import ResultCache  # local import to avoid a cycle
+
+    return isinstance(cache, ResultCache)
 
 
 #: A worker child's open caches, by (pid, directory, read flag).  The pid

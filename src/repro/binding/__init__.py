@@ -1,4 +1,4 @@
-"""Allocation and binding: compatibility graphs, clique partitioning, registers, interconnect."""
+"""Binding support: lifetime intervals, register allocation, interconnect and merge ranking."""
 
 from .intervals import (
     Interval,
@@ -6,21 +6,6 @@ from .intervals import (
     intervals_overlap,
     max_overlap_count,
     union_length,
-)
-from .compatibility import (
-    CompatibilityGraph,
-    CompatiblePair,
-    build_compatibility_graph,
-    instance_accepts_operation,
-    shared_modules,
-    windows_allow_sharing,
-)
-from .clique import (
-    Clique,
-    CliquePartition,
-    area_saving_gain,
-    exhaustive_clique_partition,
-    greedy_clique_partition,
 )
 from .register import (
     RegisterAllocation,
@@ -36,7 +21,6 @@ from .interconnect import (
     fu_mux_inputs,
     interconnect_report,
     register_mux_inputs,
-    sharing_penalty,
 )
 from .merge import BindingDecision, better
 
@@ -46,17 +30,6 @@ __all__ = [
     "intervals_overlap",
     "max_overlap_count",
     "union_length",
-    "CompatibilityGraph",
-    "CompatiblePair",
-    "build_compatibility_graph",
-    "instance_accepts_operation",
-    "shared_modules",
-    "windows_allow_sharing",
-    "Clique",
-    "CliquePartition",
-    "area_saving_gain",
-    "exhaustive_clique_partition",
-    "greedy_clique_partition",
     "RegisterAllocation",
     "ValueLifetime",
     "allocate_registers",
@@ -68,7 +41,6 @@ __all__ = [
     "fu_mux_inputs",
     "interconnect_report",
     "register_mux_inputs",
-    "sharing_penalty",
     "BindingDecision",
     "better",
 ]

@@ -3,10 +3,11 @@
 When several operations share a functional unit, the unit's input ports
 must be fed by multiplexers selecting among the source registers of the
 operations bound to it; likewise a register written by several producers
-needs a multiplexer in front of its data input.  The paper's cost
-function prefers solutions "using least interconnect", so the synthesis
-engine breaks area ties with the estimated interconnect cost produced
-here.
+needs a multiplexer in front of its data input.  This module estimates
+those multiplexers for a finished binding: the datapath's area model and
+the certificate checker use it.  (The synthesis engine breaks area ties
+by "least interconnect" too, counting each instance's new sources as it
+binds.)
 
 The model is intentionally simple and uniform across all experiments:
 
@@ -21,7 +22,7 @@ The model is intentionally simple and uniform across all experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, Mapping, Set, Tuple
 
 from ..ir.cdfg import CDFG
 from .register import RegisterAllocation
@@ -92,20 +93,3 @@ def interconnect_report(
         register_mux_inputs=register_mux_inputs(allocation),
     )
 
-
-def sharing_penalty(
-    cdfg: CDFG,
-    instance_ops: List[str],
-    candidate_op: str,
-) -> int:
-    """Heuristic interconnect penalty of adding ``candidate_op`` to an instance.
-
-    Counts how many *new* source operations the candidate would bring to
-    the instance's input ports.  Used by the synthesis engine to break
-    ties between merges of equal area gain ("least interconnect").
-    """
-    existing_sources: Set[str] = set()
-    for op_name in instance_ops:
-        existing_sources.update(cdfg.predecessors(op_name))
-    new_sources = set(cdfg.predecessors(candidate_op)) - existing_sources
-    return len(new_sources)

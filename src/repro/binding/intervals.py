@@ -3,8 +3,7 @@
 Binding two operations to the same functional unit, or two values to the
 same register, is only legal when their occupation intervals do not
 overlap.  This module centralizes the small amount of interval arithmetic
-that the compatibility graph, the clique partitioner and the left-edge
-register allocator all rely on.
+that the left-edge register allocator and the ``greedy`` binder rely on.
 
 All intervals are half-open ``[start, end)`` over integer clock cycles.
 """

@@ -210,10 +210,7 @@ def _synthesize_portfolio(
             "result; a portfolio race returns scalar metrics — re-run the "
             "winning strategy directly for those views"
         )
-    try:
-        outcome = run_portfolio(task, cache=cache)
-    except TaskError as exc:
-        raise SystemExit(f"bad portfolio task: {exc}")
+    outcome = run_portfolio(task, cache=cache)
     record = outcome.record
     if cache is not None and outcome.cacheable:
         # file the portfolio-level verdict too (run_task does the same),
@@ -651,6 +648,17 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0 if summary.feasible else EXIT_INFEASIBLE
 
 
+def _grid_steps(text: str) -> int:
+    """``--steps``: a power grid has both endpoints, so at least two budgets."""
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if steps < 2:
+        raise argparse.ArgumentTypeError(f"a power grid needs at least 2 steps, got {steps}")
+    return steps
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -746,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cap", type=float, default=150.0)
     sweep.add_argument(
         "--steps",
-        type=int,
+        type=_grid_steps,
         default=None,
         help="fixed-grid mode: number of power budgets (default: 8); "
         "incompatible with --adaptive",
@@ -991,6 +999,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except TaskError as exc:
+        raise SystemExit(f"bad task: {exc}")
     except StoreError as exc:
         raise SystemExit(f"store error: {exc}")
 

@@ -10,7 +10,7 @@ fixed-grid sweep, the adaptive frontier refiner, a bisection probe inside
 :func:`~repro.synthesis.explore.minimum_feasible_power`, a different CLI
 invocation, or a worker process of a parallel batch.
 
-Since the store refactor this class is a thin policy facade — read/write
+Since the store refactor this class is a thin policy facade — read
 gating, the journal, lifetime stats, the in-memory layer — over a
 :class:`~repro.store.ColumnarStore`: sharded append-then-compact files
 built for millions of records, with O(1) counting and indexed range
@@ -85,9 +85,8 @@ class ResultCache:
         read: Consult the cache on :meth:`get`.  ``read=False`` makes a
             write-only cache that records results for later runs without
             ever short-circuiting the current one (the CLI's plain
-            ``--cache-dir`` without ``--resume``).
-        write: Store computed records on :meth:`put`.
-        journal: Also append every stored record to ``journal.jsonl``.
+            ``--cache-dir`` without ``--resume``).  Computed records
+            are always stored, and journaled to ``journal.jsonl``.
 
     Raises:
         StoreError: ``root`` holds a legacy cache (migrate it first).
@@ -101,13 +100,9 @@ class ResultCache:
         root: Union[str, Path],
         *,
         read: bool = True,
-        write: bool = True,
-        journal: bool = True,
     ) -> None:
         self.root = Path(root).expanduser()
         self.read = read
-        self.write = write
-        self.journal = journal
         self.stats = CacheStats()
         self.store = ColumnarStore(self.root)
         self._memory: Dict[str, Dict[str, Any]] = {}
@@ -179,12 +174,11 @@ class ResultCache:
         nothing is written, journaled or counted.
         """
         key = self.key_for(task)
-        if not self.write or self.store.contains(key):
+        if self.store.contains(key):
             return key
         payload = {"key": key, "record": record.to_dict()}
         self.store.put(key, payload)
-        if self.journal:
-            append_journal_line(self.root, payload)
+        append_journal_line(self.root, payload)
         self._memory[key] = payload
         self.stats.writes += 1
         return key
@@ -219,7 +213,4 @@ class ResultCache:
         return self.store.count()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = ("r" if self.read else "") + ("w" if self.write else "")
-        return (
-            f"ResultCache({str(self.root)!r}, mode={mode!r}, {self.stats})"
-        )
+        return f"ResultCache({str(self.root)!r}, read={self.read}, {self.stats})"

@@ -3,7 +3,7 @@
 The :class:`CDFG` wraps an in-tree :class:`~repro.ir.graph.DiGraph` whose
 nodes are operation names and whose edges are data dependences.  It is
 the single intermediate representation shared by all schedulers, the
-compatibility graph construction, the binder and the power analysis.
+binders and the power analysis.
 
 Design notes
 ------------

@@ -1,8 +1,7 @@
 """A minimal insertion-ordered directed graph (stdlib only).
 
-:class:`DiGraph` is the storage behind :class:`~repro.ir.cdfg.CDFG` and
-:class:`~repro.binding.compatibility.CompatibilityGraph`.  It is three
-plain dicts keyed by node, all in node insertion order:
+:class:`DiGraph` is the storage behind :class:`~repro.ir.cdfg.CDFG`.
+It is three plain dicts keyed by node, all in node insertion order:
 
 * ``nodes`` maps a node to its data (any object; a CDFG stores the
   :class:`~repro.ir.operation.Operation` itself),

@@ -9,8 +9,8 @@ for each library entry.
 An *instance* is one allocated copy of a module in the synthesized
 datapath.  Binding maps every CDFG operation to an instance; several
 operations may share one instance as long as their execution intervals do
-not overlap (that sharing is what the clique-partitioning binder
-discovers).
+not overlap (that sharing is what the synthesis engine and the ``greedy``
+binder look for).
 """
 
 from __future__ import annotations

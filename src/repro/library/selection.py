@@ -1,10 +1,10 @@
 """Module-selection policies.
 
 Before any schedule exists, the power-constrained schedulers (pasap/palap)
-and the compatibility-graph constructor need a *tentative* module choice
-per operation to know its delay and per-cycle power.  The final binding
-may later move an operation to a different (compatible) module, but the
-tentative choice anchors the initial power-feasibility analysis.
+and the synthesis engine's scheduling windows need a *tentative* module
+choice per operation to know its delay and per-cycle power.  The final
+binding may later move an operation to a different (compatible) module,
+but the tentative choice anchors the initial power-feasibility analysis.
 
 Three stock policies are provided; the synthesis engine defaults to
 :class:`MinPowerSelection`, matching the paper's goal of stretching the

@@ -1,8 +1,8 @@
 """Classical as-late-as-possible (ALAP) scheduling.
 
 ALAP pushes every operation as late as the latency bound allows; together
-with ASAP it defines each operation's mobility window, which both the
-force-directed baseline and the compatibility-graph construction use.
+with ASAP it defines each operation's mobility window, which the
+force-directed baseline uses.
 """
 
 from __future__ import annotations

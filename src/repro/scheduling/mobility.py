@@ -3,8 +3,8 @@
 For every operation the pair ``(pasap_start, palap_start)`` bounds the
 cycles in which it can legally start without violating precedence, the
 latency bound or (heuristically) the power budget.  The combined synthesis
-engine consumes these windows when building the time-extended
-compatibility graph and when checking whether a tentative binding decision
+engine consumes these windows when it looks for a start time for each
+candidate binding decision and when checking whether a tentative decision
 leaves the remaining operations schedulable.
 
 Because pasap and palap are heuristics (the paper is explicit about this),

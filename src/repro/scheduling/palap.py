@@ -6,8 +6,8 @@ latency bound ``T``, which yields for every operation the *latest* start
 time that still admits a power-feasible completion by cycle ``T``.
 
 Together the pasap and palap start times bound each operation's
-power-feasible scheduling window; the compatibility graph (V1) of the
-combined synthesis only considers placements inside these windows.
+power-feasible scheduling window; the combined synthesis engine only
+considers placements inside these windows.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ every other part of the flow needs:
   these profiles),
 * the **makespan** (latency actually used),
 * **legality checks** (precedence, latency bound, power bound),
-* execution intervals used by the compatibility-graph builder.
+* execution intervals, which the Gantt charts draw.
 """
 
 from __future__ import annotations

@@ -109,10 +109,11 @@ class SynthesisService:
         max_requeues: How many times a job whose worker child was killed
             mid-run is requeued before it is failed as a
             ``WorkerCrash`` record.
-        verify: Re-certify every feasible result before it is recorded
-            (the ``run_task(verify=True)`` gate).  On by default — a
-            serving process is exactly the place where an uncertified
-            result must not leak.
+
+    Workers run every job through the ``run_task(verify=True)`` gate: a
+    feasible result they compute is re-certified before it is recorded,
+    since a serving process is exactly the place where an uncertified
+    result must not leak.
 
     The service is inert until :meth:`start` is called; use it as a
     context manager to pair start/shutdown.
@@ -126,7 +127,6 @@ class SynthesisService:
         workers: int = 2,
         max_queue_depth: Optional[int] = None,
         max_requeues: int = 2,
-        verify: bool = True,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"a service needs at least one worker, got {workers}")
@@ -143,7 +143,6 @@ class SynthesisService:
         self.cache = cache
         self.workers = int(workers)
         self.max_requeues = int(max_requeues)
-        self.verify = verify
         self.started_at: Optional[float] = None
         self._threads: List[threading.Thread] = []
         self._pool: Optional[WorkerPool] = None
@@ -348,7 +347,7 @@ class SynthesisService:
             self.queue.finish(job, record=hit.to_dict())
             return
         try:
-            outcome = self._pool.run(worker_payload(job.task, self.cache, verify=self.verify))
+            outcome = self._pool.run(worker_payload(job.task, self.cache, verify=True))
         except WorkerCrash as crash:
             with self._guard:
                 self._worker_crashes += 1

@@ -26,12 +26,7 @@ from .base import ResultStore, StoreError
 from .journal import JOURNAL_NAME, append_journal_line, iter_journal_payloads
 
 
-def migrate_store(
-    source: "ResultStore",
-    destination: "ResultStore",
-    *,
-    journal: bool = True,
-) -> Dict[str, Any]:
+def migrate_store(source: "ResultStore", destination: "ResultStore") -> Dict[str, Any]:
     """Copy every record (objects first, then journal-only strays) across.
 
     Returns counters: ``records`` copied from the source's primary
@@ -41,14 +36,11 @@ def migrate_store(
     if Path(source.root) == Path(destination.root):
         raise StoreError("migration source and destination must be different directories")
     copied = 0
-    journaled = 0
     seen = set()
     for payload in source.iter_payloads():
         key = payload["key"]
         destination.put(key, payload)
-        if journal:
-            append_journal_line(destination.root, payload)
-            journaled += 1
+        append_journal_line(destination.root, payload)
         seen.add(key)
         copied += 1
     replayed = 0
@@ -57,9 +49,7 @@ def migrate_store(
             continue
         payload = {"key": key, "record": record}
         destination.put(key, payload)
-        if journal:
-            append_journal_line(destination.root, payload)
-            journaled += 1
+        append_journal_line(destination.root, payload)
         seen.add(key)
         replayed += 1
     if hasattr(destination, "compact"):
@@ -71,7 +61,7 @@ def migrate_store(
         "destination_backend": destination.backend,
         "records": copied,
         "replayed": replayed,
-        "journaled": journaled,
+        "journaled": copied + replayed,
     }
 
 

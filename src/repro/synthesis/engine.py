@@ -148,7 +148,8 @@ class _EngineState:
     # each call only commits the newly locked operation (see WindowCache).
     window_cache: WindowCache = field(default_factory=WindowCache)
     # Per FU instance: its busy calendar and the set of operations that
-    # feed its bound operations (the sources sharing_penalty counts);
+    # feed its bound operations (a sharing decision's interconnect
+    # penalty counts the sources it would add);
     # both follow every commit and rollback.
     calendars: Dict[str, _BusyCalendar] = field(default_factory=dict)
     sources: Dict[str, Set[str]] = field(default_factory=dict)

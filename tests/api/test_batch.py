@@ -84,6 +84,41 @@ class TestRunTask:
         assert len(cache) == 0
 
 
+class TestCacheKinds:
+    """Only an on-disk ``ResultCache`` is claimed or sent to a worker."""
+
+    TASK = SynthesisTask(graph="hal", latency=17, power_budget=12.0)
+
+    def test_a_memo_takes_no_claim_and_sends_no_directory(self):
+        from repro.api.batch import claim_or_wait, worker_payload
+        from repro.explore.refine import _ProbeMemo
+
+        memo = _ProbeMemo()
+        assert claim_or_wait(memo, self.TASK) == (None, None)
+        payload = worker_payload(self.TASK, memo)
+        assert payload["cache_dir"] is None and not payload["cache_read"]
+
+    def test_a_write_only_cache_is_sent_but_not_claimed(self, tmp_path):
+        from repro.api.batch import claim_or_wait, worker_payload
+        from repro.explore.cache import ResultCache
+
+        cache = ResultCache(tmp_path / "cache", read=False)
+        assert claim_or_wait(cache, self.TASK) == (None, None)
+        payload = worker_payload(self.TASK, cache)
+        assert payload["cache_dir"] == str(cache.root) and not payload["cache_read"]
+
+    def test_a_readable_cache_is_claimed_and_sent(self, tmp_path):
+        from repro.api.batch import claim_or_wait, worker_payload
+        from repro.explore.cache import ResultCache
+
+        cache = ResultCache(tmp_path / "cache")
+        hit, claim = claim_or_wait(cache, self.TASK)
+        assert hit is None and claim is not None
+        claim.release()
+        payload = worker_payload(self.TASK, cache)
+        assert payload["cache_dir"] == str(cache.root) and payload["cache_read"]
+
+
 class TestRunBatch:
     @pytest.fixture(scope="class")
     def sweep_tasks(self):

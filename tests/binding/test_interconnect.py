@@ -7,7 +7,6 @@ from repro.binding.interconnect import (
     fu_mux_inputs,
     interconnect_report,
     register_mux_inputs,
-    sharing_penalty,
 )
 from repro.binding.register import RegisterAllocation, ValueLifetime, allocate_registers
 from repro.binding.intervals import Interval
@@ -69,16 +68,3 @@ class TestReport:
         assert report.total_mux_inputs == report.fu_mux_inputs + report.register_mux_inputs
         assert report.area == pytest.approx(report.total_mux_inputs * MUX_INPUT_AREA)
 
-
-class TestSharingPenalty:
-    def test_zero_when_sources_already_present(self, diamond):
-        # 'left' and 'right' read the same two inputs, so adding 'right' to an
-        # instance already hosting 'left' brings no new sources.
-        assert sharing_penalty(diamond, ["left"], "right") == 0
-
-    def test_counts_new_sources(self, diamond):
-        # 'bottom' reads left/right which are new to an instance hosting 'left'.
-        assert sharing_penalty(diamond, ["left"], "bottom") == 2
-
-    def test_empty_instance_counts_all_sources(self, diamond):
-        assert sharing_penalty(diamond, [], "bottom") == 2

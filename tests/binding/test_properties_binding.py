@@ -4,17 +4,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.binding.clique import greedy_clique_partition
-from repro.binding.compatibility import build_compatibility_graph
 from repro.binding.intervals import Interval, max_overlap_count
 from repro.binding.register import ValueLifetime, left_edge_allocation
-from repro.library.library import default_library
-from repro.library.selection import MinPowerSelection, selection_delays, selection_powers
-from repro.scheduling.constraints import PowerConstraint, TimeConstraint
-from repro.scheduling.mobility import compute_windows
-from repro.suite.generators import GeneratorConfig, random_cdfg
-
-LIBRARY = default_library()
 
 
 # --------------------------------------------------------------------------- #
@@ -44,55 +35,3 @@ def test_left_edge_is_consistent_and_optimal(lifetime_map):
     bound = max_overlap_count(lt.interval for lt in lifetime_map.values())
     assert allocation.count == bound
 
-
-# --------------------------------------------------------------------------- #
-# Clique partitioning over random graphs
-# --------------------------------------------------------------------------- #
-@st.composite
-def random_compatibility(draw):
-    config = GeneratorConfig(
-        operations=draw(st.integers(min_value=3, max_value=14)),
-        inputs=draw(st.integers(min_value=1, max_value=3)),
-        levels=draw(st.integers(min_value=1, max_value=5)),
-        mul_fraction=draw(st.floats(min_value=0.0, max_value=0.5)),
-        sub_fraction=draw(st.floats(min_value=0.0, max_value=0.4)),
-        outputs=0,
-        seed=draw(st.integers(min_value=0, max_value=5_000)),
-    )
-    cdfg = random_cdfg(config)
-    selection = MinPowerSelection().select(cdfg, LIBRARY)
-    delays = selection_delays(selection, cdfg)
-    powers = selection_powers(selection, cdfg)
-    slack = draw(st.integers(min_value=0, max_value=12))
-    from repro.ir.analysis import critical_path_length
-
-    latency = critical_path_length(cdfg, delays) + slack
-    windows = compute_windows(
-        cdfg, delays, powers, PowerConstraint(60.0), TimeConstraint(latency)
-    )
-    return cdfg, build_compatibility_graph(cdfg, library=LIBRARY, windows=windows, delays=delays)
-
-
-@given(random_compatibility())
-@settings(max_examples=50, deadline=None)
-def test_greedy_partition_is_always_valid(data):
-    cdfg, compatibility = data
-    partition = greedy_clique_partition(compatibility)
-    assert partition.is_partition_of(compatibility.operations())
-    assert partition.is_valid(compatibility)
-    # every multi-member clique has a module assigned that supports all members
-    for clique in partition.cliques:
-        if clique.size > 1:
-            assert clique.module is not None
-            for member in clique.members:
-                assert clique.module.supports(cdfg.operation(member).optype)
-
-
-@given(random_compatibility())
-@settings(max_examples=50, deadline=None)
-def test_compatibility_edges_are_symmetric_and_irreflexive(data):
-    _, compatibility = data
-    for op in compatibility.operations():
-        assert not compatibility.compatible(op, op)
-        for other in compatibility.neighbours(op):
-            assert compatibility.compatible(other, op)

@@ -1,11 +1,10 @@
 """The in-tree graph against networkx, kept as a test-only reference.
 
-``CDFG`` and ``CompatibilityGraph`` used to sit on networkx, and every
-golden schedule and binding was pinned with networkx's iteration orders.
-These tests hold the in-tree :class:`repro.ir.graph.DiGraph` to those
-orders: the lexicographic topological order, ancestors, the order of
-copies and reversals, and the compatibility graph's pair and neighbour
-order.
+``CDFG`` used to sit on networkx, and every golden schedule and binding
+was pinned with networkx's iteration orders.  These tests hold the
+in-tree :class:`repro.ir.graph.DiGraph` to those orders: the
+lexicographic topological order, ancestors, and the order of copies and
+reversals.
 """
 
 from __future__ import annotations
@@ -20,18 +19,9 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from repro.binding.compatibility import (
-    CompatibilityGraph,
-    CompatiblePair,
-    build_compatibility_graph,
-)
 from repro.ir.cdfg import CDFG, CDFGError
 from repro.ir.graph import DiGraph, GraphCycleError
 from repro.ir.operation import Operation, OpType
-from repro.library import default_library
-from repro.library.selection import MinPowerSelection, selection_delays, selection_powers
-from repro.scheduling.constraints import PowerConstraint, TimeConstraint
-from repro.scheduling.mobility import compute_windows
 from repro.suite.generators import family_cdfg, family_names
 from repro.suite.registry import benchmark_names, build_benchmark
 
@@ -201,67 +191,3 @@ def test_subgraph_keeps_induced_edges_in_order():
     assert sub.edges() == [(a, b) for a, b in g.edges() if a in kept and b in kept]
 
 
-# --------------------------------------------------------------------------- #
-# CompatibilityGraph order
-# --------------------------------------------------------------------------- #
-def recorded_compatibility(cdfg: CDFG, latency: int, power: float, monkeypatch):
-    """Build the compatibility graph and replay its calls into an ``nx.Graph``."""
-    reference = nx.Graph()
-    add_operation, add_pair = CompatibilityGraph.add_operation, CompatibilityGraph.add_pair
-
-    def record_operation(self, name):
-        reference.add_node(name)
-        add_operation(self, name)
-
-    def record_pair(self, pair):
-        reference.add_edge(pair.first, pair.second, pair=pair)
-        add_pair(self, pair)
-
-    monkeypatch.setattr(CompatibilityGraph, "add_operation", record_operation)
-    monkeypatch.setattr(CompatibilityGraph, "add_pair", record_pair)
-    library = default_library()
-    selection = MinPowerSelection().select(cdfg, library)
-    delays = selection_delays(selection, cdfg)
-    windows = compute_windows(
-        cdfg, delays, selection_powers(selection, cdfg),
-        PowerConstraint(power), TimeConstraint(latency),
-    )
-    return build_compatibility_graph(cdfg, library, windows, delays), reference
-
-
-@pytest.mark.parametrize(
-    "name,latency,power",
-    [("hal", 17, 12.0), ("hal", 28, 12.0), ("cosine", 19, 40.0), ("elliptic", 22, 30.0)],
-)
-def test_compatibility_graph_keeps_networkx_order(name, latency, power, monkeypatch):
-    compat, reference = recorded_compatibility(build_benchmark(name), latency, power, monkeypatch)
-    assert compat.pairs()
-    assert compat.operations() == list(reference.nodes)
-    assert compat.pairs() == [data["pair"] for _, _, data in reference.edges(data=True)]
-    for op in compat.operations():
-        assert compat.neighbours(op) == list(reference.neighbors(op))
-        assert compat.degree(op) == reference.degree(op)
-    assert compat.density() == nx.density(reference)
-
-
-def test_compatibility_graph_random_insertions_keep_networkx_order():
-    rng = random.Random(5)
-    names = [f"op{i}" for i in range(12)]
-    compat = CompatibilityGraph(cdfg=CDFG())
-    reference = nx.Graph()
-    for name in rng.sample(names, 6):
-        compat.add_operation(name)
-        reference.add_node(name)
-    for _ in range(30):
-        first, second = sorted(rng.sample(names, 2))
-        pair = CompatiblePair(first, second, ())
-        compat.add_pair(pair)
-        reference.add_edge(first, second, pair=pair)
-    assert compat.operations() == list(reference.nodes)
-    assert compat.pairs() == [data["pair"] for _, _, data in reference.edges(data=True)]
-    for name in compat.operations():
-        assert compat.neighbours(name) == list(reference.neighbors(name))
-        for other in names:
-            assert compat.compatible(name, other) == reference.has_edge(name, other)
-            expected = reference[name][other]["pair"] if reference.has_edge(name, other) else None
-            assert compat.pair(name, other) == expected

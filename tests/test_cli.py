@@ -1,12 +1,18 @@
 """Unit tests for the command-line interface (python -m repro)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import EXIT_INFEASIBLE, EXIT_VIOLATIONS, build_parser, main
 from repro.ir import save
 from repro.suite import hal_cdfg
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -159,6 +165,40 @@ class TestBatch:
         )
         assert main(["batch", path]) == 0
         assert "1/1 tasks feasible" in capsys.readouterr().out
+
+
+class TestMalformedTasks:
+    """A malformed task on the command line is one line of stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (["synthesize", "-b", "hal", "-T", "0", "-P", "12"], 1,
+             "bad task: latency bound must be positive, got 0"),
+            (["synthesize", "-b", "hal", "-T", "17", "-P", "-3"], 1,
+             "bad task: power budget must be positive, got -3.0"),
+            (["synthesize", "-b", "hal", "-T", "17", "-P", "12",
+              "--scheduler", "portfolio", "--deadline", "-1"], 1,
+             "bad task: portfolio_deadline_s must be positive"),
+            (["sweep", "-b", "hal", "-T", "17", "--steps", "0", "--cap", "60"], 2,
+             "argument --steps: a power grid needs at least 2 steps, got 0"),
+            (["sweep", "-b", "hal", "-T", "17", "--steps", "1", "--cap", "60"], 2,
+             "argument --steps: a power grid needs at least 2 steps, got 1"),
+            (["sweep", "-b", "hal", "-T", "17", "--steps", "x"], 2,
+             "argument --steps: expected an integer, got 'x'"),
+        ],
+        ids=["zero-latency", "negative-power", "portfolio-deadline", "zero-steps", "one-step",
+             "non-integer-steps"],
+    )
+    def test_reported_in_one_line(self, argv, code, message):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == code
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestSweepAndProfile:
