@@ -19,6 +19,11 @@ response — not on in-process shortcuts:
   /jobs/<id>``, no sockets — and breaks it into stages in
   ``extra_info`` (parse, content address, store lookup, log append,
   response encode, the rest as ``other_ms``),
+* ``test_client_round_trip[inline|named]`` times the same warm job
+  through a real :class:`~repro.serve.Client` over a socket, as a
+  caller sees it, and records in ``extra_info`` the client-observed
+  ``job_ms``, the TCP connections opened per job once the client is
+  warm, and the client's own JSON ``encode_ms`` and ``decode_ms``,
 * ``test_warm_serving_is_10x_cold_throughput`` asserts the contract:
   warm sustained jobs/second at least 10x cold, with zero synthesis
   runs during the warm pass — counted from the cache journal, which
@@ -35,10 +40,12 @@ Record the results into the repository's benchmark history with::
 
 from __future__ import annotations
 
+import http.client
 import json
 import statistics
 import threading
 import time
+import types
 
 import pytest
 
@@ -49,6 +56,7 @@ from repro.ir.serialize import to_dict
 from repro.library import default_library
 from repro.library.selection import MinPowerSelection, selection_delays
 from repro.serve import Client, start_server
+from repro.serve import client as client_module
 from repro.serve import http as http_module
 from repro.serve.queue import Job, JobQueue
 from repro.store import iter_journal_payloads
@@ -265,6 +273,44 @@ def test_warm_submission(benchmark, graph, tmp_path, monkeypatch):
         benchmark.extra_info[f"{stage}_ms"] = round(
             1e3 * statistics.median(stages.get(stage, 0.0) for stages in per_job), 4
         )
+
+
+@pytest.mark.parametrize("graph", ["inline", "named"])
+def test_client_round_trip(benchmark, graph, tmp_path, monkeypatch):
+    """One warm job as a client sees it: submit plus one status read."""
+    spec = BATCH[0] if graph == "inline" else SATURATION_BATCH[4]
+    with start_server(workers=1, state_dir=tmp_path / graph) as handle:
+        client = Client(handle.url)
+        client.submit_and_wait([spec], timeout=300)
+
+        def round_trip() -> None:
+            (job,) = client.submit(spec)
+            assert client.job(job["id"])["state"] == "done"
+
+        benchmark.pedantic(round_trip, rounds=STAGE_JOBS, iterations=1)
+        per_job = []
+        for _ in range(STAGE_JOBS):
+            started = time.perf_counter()
+            round_trip()
+            per_job.append(time.perf_counter() - started)
+
+        opened = []
+        connect = http.client.HTTPConnection.connect
+        monkeypatch.setattr(
+            http.client.HTTPConnection, "connect",
+            lambda conn: (opened.append(conn), connect(conn))[1],
+        )
+        clock = StageClock()
+        monkeypatch.setattr(client_module, "json", types.SimpleNamespace(
+            dumps=clock.wrap("encode", json.dumps), loads=clock.wrap("decode", json.loads),
+        ))
+        for _ in range(STAGE_JOBS):
+            round_trip()
+        monkeypatch.undo()
+    benchmark.extra_info["job_ms"] = round(1e3 * statistics.median(per_job), 4)
+    benchmark.extra_info["connections_per_job"] = round(len(opened) / STAGE_JOBS, 3)
+    for stage in ("encode", "decode"):
+        benchmark.extra_info[f"{stage}_ms"] = round(1e3 * clock.totals[stage] / STAGE_JOBS, 4)
 
 
 def test_warm_serving_is_10x_cold_throughput(tmp_path):

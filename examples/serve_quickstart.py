@@ -35,9 +35,8 @@ def main() -> None:
     #    persistent job queue -> shared result cache.  Port 0 binds an
     #    ephemeral port; a production deployment would use
     #    `repro serve --port 8642 --state-dir .serve` instead.
-    with start_server(workers=2) as handle:
+    with start_server(workers=2) as handle, Client(handle.url) as client:
         print(f"server listening on {handle.url}")
-        client = Client(handle.url)
         print(f"healthz: {client.healthz()}")
         print()
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import weakref
 from dataclasses import dataclass, field
@@ -313,7 +314,8 @@ class SynthesisTask:
         latency: Latency bound ``T`` in cycles.  ``None`` means "whatever
             the schedule takes" — only schedulers that do not need a bound
             (``asap``, ``pasap``) accept that.
-        power_budget: Per-cycle power budget ``P``; ``None`` = unbounded.
+        power_budget: Per-cycle power budget ``P``, positive and finite;
+            ``None`` = unbounded.
         register_budget: Per-cycle register (live-value) budget ``R``;
             ``None`` = unbounded.  Only schedulers that can *guarantee*
             the budget accept it (currently ``ilp``); the pipeline
@@ -374,6 +376,10 @@ class SynthesisTask:
                 self.power_budget = float(self.power_budget)
             except (TypeError, ValueError):
                 raise TaskError(f"power budget must be a number, got {self.power_budget!r}") from None
+            if not math.isfinite(self.power_budget):
+                raise TaskError(
+                    f"power budget must be finite (null for none), got {self.power_budget}"
+                )
             if self.power_budget <= 0:
                 raise TaskError(f"power budget must be positive, got {self.power_budget}")
         if self.register_budget is not None:

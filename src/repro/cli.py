@@ -605,19 +605,19 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print(f"bad batch file: {exc}", file=sys.stderr)
         return 1
 
-    client = Client(args.url, timeout=args.timeout)
     try:
-        accepted = client.submit(
-            tasks, priority=args.priority, deadline_s=args.deadline
-        )
-        print(f"submitted {len(accepted)} job(s) to {args.url}")
-        for entry in accepted:
-            print(f"  {entry['id']}  key={entry['key'][:16]}…")
-        if not args.wait:
-            return 0
-        records = client.records_from_states(
-            client.wait(accepted, timeout=args.timeout)
-        )
+        with Client(args.url, timeout=args.timeout) as client:
+            accepted = client.submit(
+                tasks, priority=args.priority, deadline_s=args.deadline
+            )
+            print(f"submitted {len(accepted)} job(s) to {args.url}")
+            for entry in accepted:
+                print(f"  {entry['id']}  key={entry['key'][:16]}…")
+            if not args.wait:
+                return 0
+            records = client.records_from_states(
+                client.wait(accepted, timeout=args.timeout)
+            )
     except ClientError as exc:
         print(f"server error: {exc}", file=sys.stderr)
         return 1

@@ -30,6 +30,12 @@ class TestValidation:
         with pytest.raises(TaskError):
             SynthesisTask(graph="hal", latency=17, power_budget=-1.0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf"), "nan", "inf"])
+    def test_power_budget_must_be_finite(self, budget):
+        # a NaN slips past "<= 0"; no budget at all is spelled None
+        with pytest.raises(TaskError, match="must be finite"):
+            SynthesisTask(graph="hal", latency=17, power_budget=budget)
+
     def test_options_must_be_dict(self):
         with pytest.raises(TaskError):
             SynthesisTask(graph="hal", latency=17, options=[1, 2])

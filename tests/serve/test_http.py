@@ -114,6 +114,19 @@ class TestEndpoints:
         assert excinfo.value.code == 400
         assert "lateny" in json.loads(excinfo.value.read())["error"]
 
+    @pytest.mark.parametrize("budget", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_non_finite_budget_is_400(self, server, budget):
+        # Python's json reads these tokens as floats; none is a budget
+        request = urllib.request.Request(
+            f"{server.url}/tasks",
+            data=b'{"graph": "hal", "latency": 17, "power_budget": ' + budget + b"}",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        assert "must be finite" in json.loads(excinfo.value.read())["error"]
+
     def test_rejected_requests_cannot_smuggle_a_pipelined_request(self, server):
         # A rejected request leaves its body unread; on a keep-alive
         # connection those bytes would be parsed as the *next* request

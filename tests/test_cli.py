@@ -177,6 +177,10 @@ class TestMalformedTasks:
              "bad task: latency bound must be positive, got 0"),
             (["synthesize", "-b", "hal", "-T", "17", "-P", "-3"], 1,
              "bad task: power budget must be positive, got -3.0"),
+            (["synthesize", "-b", "hal", "-T", "17", "-P", "nan"], 1,
+             "bad task: power budget must be finite (null for none), got nan"),
+            (["synthesize", "-b", "hal", "-T", "17", "-P", "inf"], 1,
+             "bad task: power budget must be finite (null for none), got inf"),
             (["synthesize", "-b", "hal", "-T", "17", "-P", "12",
               "--scheduler", "portfolio", "--deadline", "-1"], 1,
              "bad task: portfolio_deadline_s must be positive"),
@@ -187,7 +191,7 @@ class TestMalformedTasks:
             (["sweep", "-b", "hal", "-T", "17", "--steps", "x"], 2,
              "argument --steps: expected an integer, got 'x'"),
         ],
-        ids=["zero-latency", "negative-power", "portfolio-deadline", "zero-steps", "one-step",
+        ids=["zero-latency", "negative-power", "nan-power", "inf-power", "portfolio-deadline", "zero-steps", "one-step",
              "non-integer-steps"],
     )
     def test_reported_in_one_line(self, argv, code, message):
